@@ -29,18 +29,19 @@ const setupReps = 9
 // Phase sizes. The fixed-rate phase sends fixedFrac of the budget's
 // worth of requests at the nominal rate, at least fixedMin; the closed
 // loop about closedFrac of the budget at the throughput the nominal
-// rate implies; each capacity rung rungFrac at the rung's rate, at
-// least rungMin. Latencies are summarised over windows of at least
-// windowMin requests: p50 and p90 are the medians of the windows' p50s
-// and p90s; p99 is the tailOver quantile of the windows' p99s. On the
+// rate implies; each of the capacityRungs capacity rungs rungFrac at
+// the rung's rate, at least rungMin. Latencies are summarised over
+// windows of at least windowMin requests: p50 and p90 are the medians
+// of the windows' p50s and p90s; p99 is the tailOver quantile of the windows' p99s. On the
 // shared 2-vCPU reference host a quarter to a half of the windows of a
 // run carry a host stall that doubles their p99; the lower quartile is
 // the daemon's p99 outside those stalls. fixedMin and rungMin are
 // variables so the smoke test can run in seconds.
 const (
-	fixedFrac, closedFrac, rungFrac = 0.35, 0.15, 0.12
+	fixedFrac, closedFrac, rungFrac = 0.35, 0.15, 0.1
 	windowMin, maxWindows           = 500, 20
 	closedWindows, rungWindows      = 20, 5
+	capacityRungs                   = 10
 	tailOver                        = 0.25
 )
 
@@ -58,7 +59,7 @@ type job struct {
 func (b *bench) job() (*job, error) {
 	switch b.w.name {
 	case "schedule-cold":
-		s := &streamSrc{seed: b.seed, gen: coldBody, url: pathSchedule}
+		s := &streamSrc{seed: b.seed, gen: coldBody}
 		return &job{src: s, body: s.body, expect: expectSchedule}, nil
 	case "schedule-warm":
 		pool, err := warmPool(b.seed)
@@ -67,9 +68,6 @@ func (b *bench) job() (*job, error) {
 		}
 		s := &poolSrc{pool: pool}
 		return &job{src: s, body: s.body, expect: expectSchedule, pool: pool}, nil
-	case "fleet-online":
-		s := &streamSrc{seed: b.seed, gen: fleetBody, url: pathFleet}
-		return &job{src: s, body: s.body, expect: expectFleet}, nil
 	}
 	return nil, fmt.Errorf("unknown workload %q", b.w.name)
 }
@@ -165,11 +163,10 @@ type rung struct {
 	passed bool
 }
 
-// endToEnd is the untraced run: set-up, the fixed-rate open loop, a
-// closed loop, the capacity search, then the correctness check. The
-// first two send fixed request counts, so the daemon's CPU and memory
-// are read over the same work on every run in which the host check
-// re-measured nothing.
+// endToEnd is the untraced run: set-up, the fixed-rate open loop and a
+// closed loop, interleaved, then the capacity search, then the
+// correctness check. The first two send fixed request counts, so the
+// daemon's CPU and memory are read over the same work on every run.
 func (b *bench) endToEnd() (*result, error) {
 	cal, err := calibrate(b.w.nominal)
 	if err != nil {
@@ -201,55 +198,45 @@ func (b *bench) endToEnd() (*result, error) {
 	}
 	var all []record
 
-	gate := &hostGate{}
 	var steal stealMeter
-	if err := gate.wait("fixed-rate phase", time.Second); err != nil {
-		return nil, err
-	}
 	if err := steal.mark(); err != nil {
 		return nil, err
 	}
 	nFixed := max(fixedMin, int(b.w.nominal*b.budget.Seconds()*fixedFrac))
 	windows := min(maxWindows, max(1, nFixed/windowMin))
-	var winP50, winP90, winP99, fixedLate []float64
-	fixedBacklog := 0
-	for w := 0; w < windows; w++ {
-		var p *phase
-		if err := gate.calm(func() error {
-			var err error
-			p, err = openLoop(t, j.src, b.w.nominal, nFixed/windows, b.seed^0xF1C5ED^uint64(w)<<40)
-			all = append(all, p.records...)
-			return err
-		}); err != nil {
-			return nil, err
-		}
-		lat := p.latMS()
-		winP50 = append(winP50, quantile(lat, 0.5))
-		winP90 = append(winP90, quantile(lat, 0.9))
-		winP99 = append(winP99, quantile(lat, 0.99))
-		fixedLate = append(fixedLate, p.late...)
-		fixedBacklog = max(fixedBacklog, p.backlog)
-	}
-	p50, p90, p99 := median(winP50), median(winP90), quantile(winP99, tailOver)
-
-	if err := gate.wait("closed loop", time.Second); err != nil {
-		return nil, err
-	}
 	// The nominal rate is about a quarter of the closed-loop throughput.
 	nClosed := max(closedWindows, int(4*b.w.nominal*b.budget.Seconds()*closedFrac)/closedWindows)
-	var tputs []float64
-	for i := 0; i < closedWindows; i++ {
-		var p *phase
-		if err := gate.calm(func() error {
-			var err error
-			p, err = closedLoop(t, j.src, nClosed)
+	var winP50, winP90, winP99, fixedLate, tputs []float64
+	fixedBacklog := 0
+	// The fixed-rate and closed-loop windows alternate, spread evenly
+	// over both phases: the host's speed drifts over seconds, and each
+	// phase's median then samples all of that drift rather than its own
+	// few seconds of it.
+	slots := windows + closedWindows
+	for i := 0; i < slots; i++ {
+		if (i+1)*windows/slots > i*windows/slots {
+			w := i * windows / slots
+			p, err := openLoop(t, j.src, b.w.nominal, nFixed/windows, b.seed^0xF1C5ED^uint64(w)<<40)
+			if err != nil {
+				return nil, err
+			}
 			all = append(all, p.records...)
-			return err
-		}); err != nil {
+			lat := p.latMS()
+			winP50 = append(winP50, quantile(lat, 0.5))
+			winP90 = append(winP90, quantile(lat, 0.9))
+			winP99 = append(winP99, quantile(lat, 0.99))
+			fixedLate = append(fixedLate, p.late...)
+			fixedBacklog = max(fixedBacklog, p.backlog)
+			continue
+		}
+		p, err := closedLoop(t, j.src, nClosed)
+		if err != nil {
 			return nil, err
 		}
+		all = append(all, p.records...)
 		tputs = append(tputs, float64(p.ok())/p.elapsed.Seconds())
 	}
+	p50, p90, p99 := median(winP50), median(winP90), quantile(winP99, tailOver)
 	throughput := median(tputs)
 
 	cpu1, err := d.cpuSeconds()
@@ -267,10 +254,7 @@ func (b *bench) endToEnd() (*result, error) {
 	cpuPerReq := (cpu1 - cpu0) * 1000 / float64(okCount(all))
 	memoRequests := len(all)
 
-	if err := gate.wait("capacity search", time.Second); err != nil {
-		return nil, err
-	}
-	capacity, rungs, err := b.capacity(t, j.src, gate, throughput, &all)
+	capacity, rungs, err := b.capacity(t, j.src, throughput, &all)
 	if err != nil {
 		return nil, err
 	}
@@ -308,8 +292,7 @@ func (b *bench) endToEnd() (*result, error) {
 	fmt.Fprintf(&rep, "workload %s seed %d: %d requests, %d failed, %d wrong answers\n", b.w.name, b.seed, len(all), failed, wrong)
 	fmt.Fprintf(&rep, "fixed rate %.0f req/s: %d requests in %d windows, p50 %.3f ms, p90 %.3f ms, p99 %.3f ms (window p99s %.3f ms); closed loop: %d windows of %d requests, %.0f req/s\n",
 		b.w.nominal, nFixed, windows, p50, p90, p99, winP99, closedWindows, nClosed, tputs)
-	fmt.Fprintf(&rep, "host: %.1f%% of CPU time stolen by the hypervisor over the measured phases; %d windows or rungs re-measured (%.1f s); before each phase: %s\n",
-		100*stolen, gate.retries, gate.retried.Seconds(), strings.Join(gate.log, "; "))
+	fmt.Fprintf(&rep, "host: %.1f%% of CPU time stolen by the hypervisor over the measured phases\n", 100*stolen)
 	fmt.Fprintf(&rep, "generator: ceiling %.0f req/s on a trivial handler, late p99 %.3f ms at rest, %.3f ms in the fixed-rate phase, backlog max %d\n",
 		cal.ceiling, cal.lateP99, late, fixedBacklog)
 	if !valid {
@@ -330,61 +313,62 @@ func (b *bench) endToEnd() (*result, error) {
 	return res, nil
 }
 
-// capacity walks the workload's ladder from the rung below the
-// workload's ladderStart times the closed-loop throughput: down until a
-// rung passes, or up while rungs pass. A rung passes when its p99,
-// summarised over windows as in the report, is under the SLO, fewer than 1%
-// of its requests fail, and the generator's backlog did not grow.
-func (b *bench) capacity(t *target, src source, gate *hostGate, throughput float64, all *[]record) (float64, []rung, error) {
+// capacity runs an up-down staircase of capacityRungs rungs on the
+// workload's ladder, from the rung below ladderStart times the
+// closed-loop throughput. A rung passes when its p99, summarised over
+// windows as in the report, is under the SLO, fewer than 1% of its
+// requests fail, and the generator's backlog did not grow. After a pass
+// the next rung is higher, after a failure lower: two rungs at a time
+// until the second reversal of direction, then one. From there the
+// staircase oscillates about the knee, and capacity is the median rate
+// of the rungs that passed there, so a stall of the daemon or the host
+// during one rung moves the result by a fraction of a rung instead of
+// ending the search. Waiting for the second reversal keeps one failed
+// first rung from leaving the staircase to crawl up from below the
+// knee. Without such rungs capacity is the highest rate that passed, 0
+// if none did.
+func (b *bench) capacity(t *target, src source, throughput float64, all *[]record) (float64, []rung, error) {
 	ladder := b.w.ladder
 	k := 0
 	for k+1 < len(ladder) && ladder[k+1] <= b.w.ladderStart*throughput {
 		k++
 	}
 	var rungs []rung
-	try := func(k int) (bool, error) {
+	var settled []float64
+	step, reversals := 2, 0
+	for i := 0; i < capacityRungs; i++ {
 		rate := ladder[k]
 		n := max(rungMin, int(rate*b.budget.Seconds()*rungFrac))
-		var p *phase
-		if err := gate.calm(func() error {
-			var err error
-			p, err = openLoop(t, src, rate, n, b.seed^uint64(k)<<32)
-			*all = append(*all, p.records...)
-			return err
-		}); err != nil {
-			return false, err
-		}
-		r := rung{rate: rate, p99: windowQuantile(p.records, rungWindows, 0.99, tailOver), fail: p.failFrac(), grew: p.backlogGrew()}
-		r.passed = r.p99 < b.w.slo && r.fail < 0.01 && !r.grew
-		rungs = append(rungs, r)
-		return r.passed, nil
-	}
-	passed, err := try(k)
-	if err != nil {
-		return 0, nil, err
-	}
-	if passed {
-		for k+1 < len(ladder) {
-			up, err := try(k + 1)
-			if err != nil {
-				return 0, nil, err
-			}
-			if !up {
-				break
-			}
-			k++
-		}
-		return ladder[k], rungs, nil
-	}
-	for k > 0 {
-		k--
-		down, err := try(k)
+		p, err := openLoop(t, src, rate, n, b.seed^uint64(i)<<32)
 		if err != nil {
 			return 0, nil, err
 		}
-		if down {
-			return ladder[k], rungs, nil
+		*all = append(*all, p.records...)
+		r := rung{rate: rate, p99: windowQuantile(p.records, rungWindows, 0.99, tailOver), fail: p.failFrac(), grew: p.backlogGrew()}
+		r.passed = r.p99 < b.w.slo && r.fail < 0.01 && !r.grew
+		rungs = append(rungs, r)
+		if i > 0 && r.passed != rungs[i-1].passed {
+			if reversals++; reversals == 2 {
+				step = 1
+			}
+		}
+		if step == 1 && r.passed {
+			settled = append(settled, rate)
+		}
+		if r.passed {
+			k = min(k+step, len(ladder)-1)
+		} else {
+			k = max(k-step, 0)
 		}
 	}
-	return 0, rungs, nil
+	if len(settled) > 0 {
+		return median(settled), rungs, nil
+	}
+	best := 0.0
+	for _, r := range rungs {
+		if r.passed {
+			best = max(best, r.rate)
+		}
+	}
+	return best, rungs, nil
 }

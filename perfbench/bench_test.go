@@ -131,13 +131,8 @@ func TestSmokeEmitsEveryMetric(t *testing.T) {
 	bin := buildDaemon(t)
 	defer func(f, r int) { fixedMin, rungMin = f, r }(fixedMin, rungMin)
 	fixedMin, rungMin = 100, 50
-	// fleet-online is not in BENCHMARK.json (see NOTES.md) but must keep
-	// working for manual runs.
-	names := []string{"fleet-online"}
 	for _, w := range spec.Workloads {
-		names = append(names, w.Name)
-	}
-	for _, name := range names {
+		name := w.Name
 		for trace, want := range map[string][]nameUnit{"0": spec.EndToEnd, "1": spec.PerLayer} {
 			var out, errOut bytes.Buffer
 			args := []string{"--workload", name, "--seed", "2", "--seconds", "1", "--trace", trace,

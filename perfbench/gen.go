@@ -112,9 +112,9 @@ func warmPool(seed uint64) ([][]byte, error) {
 	return pool, nil
 }
 
-// fleetSpec is request i of fleet-online: a fresh template set per
-// request, cycled by a Poisson stream over four identical portfolio
-// nodes.
+// fleetSpec is spec i of the traced run's /v1/simulate-fleet ladder: a
+// fresh template set per spec, cycled by a Poisson stream over four
+// identical portfolio nodes.
 func fleetSpec(seed uint64, i int) (*fleet.Spec, error) {
 	gs := streamSeed(seed, saltFleet, i)
 	in, err := genscen.Generate(coldFamilies[i%len(coldFamilies)], gs, fleetApps)

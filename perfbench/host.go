@@ -5,23 +5,14 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // The reference host is a 2-vCPU VM on a shared hypervisor. When the
 // hypervisor gives the VM's vCPUs to other guests (steal time), both the
-// daemon and the generator stop for milliseconds at a time: throughput
-// falls by a third and every latency quantile grows several times over,
-// whatever the daemon does. Before each measured phase the benchmark
-// therefore waits, for a bounded time, until a sample of /proc/stat
-// (one second before a phase, a fifth of one before each window or
-// rung) shows little steal, re-measures a window or rung during which
-// much was stolen, and reports the steal it saw.
-const (
-	calmSteal   = 0.05             // share of CPU time stolen in a calm sample
-	maxCalmWait = 10 * time.Second // total wait per run
-	maxRetry    = 10 * time.Second // total time of re-measured pieces per run
-)
+// daemon and the generator stop for milliseconds at a time, whatever the
+// daemon does. The benchmark reads the steal over its measured phases
+// from /proc/stat and prints it in each report, so a run taken on a
+// starved host can be told apart from a daemon regression.
 
 // cpuTimes reads the aggregate "cpu" line of /proc/stat and returns the
 // total and the steal jiffies.
@@ -67,67 +58,4 @@ func (m *stealMeter) share() (float64, error) {
 		return 0, err
 	}
 	return ratio(steal-m.steal, total-m.total), nil
-}
-
-// hostGate spends at most maxCalmWait per run waiting for calm samples
-// and at most maxRetry re-measuring pieces the hypervisor disturbed.
-type hostGate struct {
-	waited, retried time.Duration
-	retries         int
-	log             []string
-}
-
-// calm runs one measured piece (a latency window, a closed-loop window,
-// a capacity rung) after a calm sample, and runs it again while more
-// than calmSteal of the CPU time during it was stolen and the run's
-// retry budget lasts. f must replace, not add to, what a previous
-// attempt measured.
-func (g *hostGate) calm(f func() error) error {
-	for {
-		if err := g.wait("", time.Second/5); err != nil {
-			return err
-		}
-		var m stealMeter
-		if err := m.mark(); err != nil {
-			return err
-		}
-		start := time.Now()
-		if err := f(); err != nil {
-			return err
-		}
-		s, err := m.share()
-		if err != nil {
-			return err
-		}
-		if s < calmSteal || g.retried >= maxRetry {
-			return nil
-		}
-		g.retried += time.Since(start)
-		g.retries++
-	}
-}
-
-// wait samples steal over periods of length sample until one is calm or
-// the run's wait budget is spent, and records what it saw before the
-// named phase.
-func (g *hostGate) wait(phase string, sample time.Duration) error {
-	start := time.Now()
-	for {
-		var m stealMeter
-		if err := m.mark(); err != nil {
-			return err
-		}
-		time.Sleep(sample)
-		s, err := m.share()
-		if err != nil {
-			return err
-		}
-		g.waited += sample
-		if s < calmSteal || g.waited >= maxCalmWait {
-			if phase != "" {
-				g.log = append(g.log, fmt.Sprintf("%s: steal %.1f%% after %.1f s waiting", phase, 100*s, time.Since(start).Seconds()))
-			}
-			return nil
-		}
-	}
 }

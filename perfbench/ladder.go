@@ -192,8 +192,10 @@ type fleetLadder struct {
 	tr   *tracer
 	base string
 	hc   *http.Client
-	// checks and wrong compare the daemon's response with the
-	// in-process fleet.Simulate rendering.
+	// checks counts specs; wrong counts those whose daemon response
+	// differs from the in-process fleet.Simulate rendering or whose
+	// replayed nodes differ from the fleet run (des.node.p50_ms would
+	// then time other work than the fleet ran).
 	checks, wrong int
 	// nodeChecks and nodeWrong compare each replayed node's makespan
 	// with the node's makespan inside the fleet run.
@@ -254,6 +256,7 @@ func (l *fleetLadder) run(req int, body []byte) error {
 		perNode[rt.Node] = append(perNode[rt.Node], arrivals[rt.Job])
 	}
 	eng := cachedEngine(0)
+	nodesMatch := true
 	for i, arr := range perNode {
 		if len(arr) == 0 {
 			continue
@@ -277,6 +280,7 @@ func (l *fleetLadder) run(req int, body []byte) error {
 		l.nodeChecks++
 		if nres.Makespan != res.Nodes[i].Result.Makespan {
 			l.nodeWrong++
+			nodesMatch = false
 		}
 	}
 
@@ -296,7 +300,7 @@ func (l *fleetLadder) run(req int, body []byte) error {
 	}
 	tr.add(loop, spFleetHTTP, req, 0, s, e, "")
 	l.checks++
-	if !bytes.Equal(resp, want) {
+	if !bytes.Equal(resp, want) || !nodesMatch {
 		l.wrong++
 	}
 	return nil

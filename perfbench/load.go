@@ -35,12 +35,11 @@ func httpClient() *http.Client {
 	}
 }
 
-// source hands out request bodies. next is safe for concurrent use and
-// returns the body's id, which the correctness check uses to recompute
-// the expected response.
+// source hands out /v1/schedule request bodies. next is safe for
+// concurrent use and returns the body's id, which the correctness check
+// uses to recompute the expected response.
 type source interface {
 	next() (id int, body []byte, err error)
-	path() string
 }
 
 // record is one attempted request.
@@ -81,12 +80,12 @@ type target struct {
 	spans *tracer
 }
 
-func (t *target) send(src source, id int, body []byte, due time.Time) record {
+func (t *target) send(id int, body []byte, due time.Time) record {
 	var sp *span
 	if t.spans != nil {
 		sp = t.spans.begin("http.loopback", id, 0)
 	}
-	st, resp, err := post(t.hc, t.base+src.path(), body)
+	st, resp, err := post(t.hc, t.base+pathSchedule, body)
 	end := time.Now()
 	if sp != nil {
 		t.spans.end(sp)
@@ -164,7 +163,7 @@ func closedLoop(t *target, src source, n int) (*phase, error) {
 					recs[k] = record{id: -1}
 					continue
 				}
-				recs[k] = t.send(src, id, body, time.Now())
+				recs[k] = t.send(id, body, time.Now())
 			}
 		}()
 	}
@@ -237,7 +236,7 @@ func openLoop(t *target, src source, rate float64, n int, seed uint64) (*phase, 
 						break
 					}
 				}
-				recs[k] = t.send(src, id, body, due)
+				recs[k] = t.send(id, body, due)
 				recs[k].backlog = max(backlog, 0)
 			}
 		}(w)
@@ -250,25 +249,29 @@ func openLoop(t *target, src source, rate float64, n int, seed uint64) (*phase, 
 	return p, firstErr
 }
 
-// backlogGrew reports whether the generator's backlog grew over the
-// phase: the median backlog met by the last quarter of the requests
-// exceeds the first quarter's by more than 1% of the phase's requests
-// (and more than 2·conns). Above capacity the backlog grows by the
-// excess rate for the whole phase; a burst that drains is ignored.
+// backlogGrew reports whether the generator's backlog grew steadily
+// over the phase: the median backlog met by each quarter of the
+// requests exceeds the previous quarter's, and the last quarter's
+// exceeds the first's by more than 1% of the phase's requests (and more
+// than 2·conns). Above capacity the backlog grows by the excess rate
+// for the whole phase. A stall of the daemon or the host raises it in
+// one or two quarters and then drains; comparing only the first and
+// last quarter counted a stall late in the phase as growth.
 func (p *phase) backlogGrew() bool {
 	k := len(p.records) / 4
 	if k == 0 {
 		return false
 	}
-	med := func(rs []record) float64 {
-		b := make([]float64, len(rs))
-		for i, r := range rs {
-			b[i] = float64(r.backlog)
+	q := make([]float64, 4)
+	for i := range q {
+		b := make([]float64, k)
+		for j, r := range p.records[i*k : (i+1)*k] {
+			b[j] = float64(r.backlog)
 		}
-		return median(b)
+		q[i] = median(b)
 	}
 	limit := max(2*conns, len(p.records)/100)
-	return med(p.records[len(p.records)-k:]) > med(p.records[:k])+float64(limit)
+	return q[0] < q[1] && q[1] < q[2] && q[2] < q[3] && q[3] > q[0]+float64(limit)
 }
 
 // windowQuantile splits the records, in schedule order, into w equal

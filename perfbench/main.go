@@ -15,8 +15,9 @@
 //	               heuristics
 //	schedule-warm  POST /v1/schedule over a fixed pool solved during
 //	               set-up: every timed request is a memo read
-//	fleet-online   POST /v1/simulate-fleet, a fresh 4-node portfolio
-//	               fleet spec with 64 Poisson arrivals per request
+//
+// The traced run of either workload also times the /v1/simulate-fleet
+// chain on fresh fleet specs.
 //
 // See NOTES.md for the metric definitions, what each layer metric is
 // expected to move, and the recorded baseline findings.
@@ -85,13 +86,13 @@ func geometric(lo, r float64, n int) []float64 {
 // slowest requests more than queueing behind them. The SLOs are far above the p99 at the
 // nominal rate, so capacity marks the knee where queues start to grow,
 // not a point on the gradual rise before it, and moves with the
-// system's speed more than with its noise. The ladders step by 2^(1/8)
-// (9%) from far below capacity to above it; ladderStart is where the
-// knee sat on that host.
+// system's speed more than with its noise. The ladders step by 2^(1/16)
+// (4.4%) from far below capacity to above it; the search starts a rung
+// or two below where the knee sat on that host, as a share
+// (ladderStart) of the closed-loop throughput.
 var workloads = []workload{
-	{name: "schedule-cold", nominal: 500, slo: 100, ladder: geometric(100, math.Pow(2, 1.0/8), 48), ladderStart: 0.85},
-	{name: "schedule-warm", nominal: 1500, slo: 50, ladder: geometric(400, math.Pow(2, 1.0/8), 48), ladderStart: 0.85},
-	{name: "fleet-online", nominal: 80, slo: 1000, ladder: geometric(5, math.Pow(2, 1.0/8), 64), ladderStart: 0.85},
+	{name: "schedule-cold", nominal: 500, slo: 100, ladder: geometric(100, math.Pow(2, 1.0/16), 96), ladderStart: 0.85},
+	{name: "schedule-warm", nominal: 1500, slo: 50, ladder: geometric(400, math.Pow(2, 1.0/16), 96), ladderStart: 0.95},
 }
 
 func findWorkload(name string) (workload, error) {
@@ -107,7 +108,7 @@ func run(args []string, out, errOut io.Writer) int {
 	fs := flag.NewFlagSet("perfbench", flag.ContinueOnError)
 	fs.SetOutput(errOut)
 	var (
-		name    = fs.String("workload", "", "schedule-cold, schedule-warm or fleet-online")
+		name    = fs.String("workload", "", "schedule-cold or schedule-warm")
 		seed    = fs.Uint64("seed", 1, "input seed: the same seed sends the same bodies")
 		seconds = fs.Int("seconds", 20, "measured seconds")
 		traced  = fs.Int("trace", 0, "0: end-to-end metrics; 1: traced per-layer run")

@@ -73,22 +73,18 @@ func (b *bench) traced() (*result, error) {
 		return nil, err
 	}
 
-	// The /v1/schedule ladder runs on the workload's own bodies where it
-	// sends schedule traffic, and on fresh cold bodies for fleet-online.
+	// The /v1/schedule ladder runs on the workload's own bodies; the
+	// /v1/simulate-fleet ladder on fresh fleet specs.
 	sl := newSchedLadder(tr, d.base, j.pool != nil)
 	defer sl.hc.CloseIdleConnections()
-	schedBody := func(k int) ([]byte, error) {
-		switch {
-		case j.pool != nil:
-			return j.pool[k%len(j.pool)], nil
-		case j.src.path() == pathSchedule:
-			_, b, err := j.src.next()
-			return b, err
-		}
-		return coldBody(b.seed, k)
-	}
 	if err := ladderLoop(b.budget/5, schedLadderMin, schedLadderMax, func(k int) error {
-		body, err := schedBody(k)
+		var body []byte
+		var err error
+		if j.pool != nil {
+			body = j.pool[k%len(j.pool)]
+		} else {
+			_, body, err = j.src.next()
+		}
 		if err != nil {
 			return err
 		}
@@ -99,15 +95,8 @@ func (b *bench) traced() (*result, error) {
 
 	fl := newFleetLadder(tr, d.base)
 	defer fl.hc.CloseIdleConnections()
-	fleetBodyAt := func(k int) ([]byte, error) {
-		if j.src.path() == pathFleet {
-			_, b, err := j.src.next()
-			return b, err
-		}
-		return fleetBody(b.seed, k)
-	}
 	if err := ladderLoop(b.budget/5, fleetLadderMin, fleetLadderMax, func(k int) error {
-		body, err := fleetBodyAt(k)
+		body, err := fleetBody(b.seed, k)
 		if err != nil {
 			return err
 		}
@@ -246,13 +235,8 @@ func (b *bench) traced() (*result, error) {
 		sl.checks, fl.checks, fl.nodeChecks-fl.nodeWrong, fl.nodeChecks)
 	scheduleTitle := "/v1/schedule chain (" + map[bool]string{true: "memo hits", false: "cold"}[j.pool != nil] + "), share of " + spLoopback
 	fleetTitle := "/v1/simulate-fleet chain, share of " + spFleetHTTP
-	if j.src.path() == pathFleet {
-		rep.WriteString(tableString(fleetTitle, fRows))
-		rep.WriteString(tableString(scheduleTitle+" on cold bodies (not this workload's path)", sRows))
-	} else {
-		rep.WriteString(tableString(scheduleTitle, sRows))
-		rep.WriteString(tableString(fleetTitle+" (not this workload's path)", fRows))
-	}
+	rep.WriteString(tableString(scheduleTitle, sRows))
+	rep.WriteString(tableString(fleetTitle, fRows))
 	fmt.Fprint(b.out, rep.String())
 	if err := os.WriteFile(filepath.Join(b.dir, "layers.txt"), []byte(rep.String()), 0o644); err != nil {
 		return nil, err

@@ -10,8 +10,6 @@ import (
 	"sync/atomic"
 
 	repro "repro"
-	"repro/internal/fleet"
-	"repro/internal/portfolio"
 	"repro/internal/serve"
 )
 
@@ -29,7 +27,6 @@ type streamSrc struct {
 	seed uint64
 	n    atomic.Int64
 	gen  func(seed uint64, i int) ([]byte, error)
-	url  string
 }
 
 func (s *streamSrc) next() (int, []byte, error) {
@@ -37,8 +34,6 @@ func (s *streamSrc) next() (int, []byte, error) {
 	b, err := s.gen(s.seed, i)
 	return i, b, err
 }
-
-func (s *streamSrc) path() string { return s.url }
 
 func (s *streamSrc) body(id int) ([]byte, error) { return s.gen(s.seed, id) }
 
@@ -52,8 +47,6 @@ func (s *poolSrc) next() (int, []byte, error) {
 	i := int(s.n.Add(1)-1) % len(s.pool)
 	return i, s.pool[i], nil
 }
-
-func (s *poolSrc) path() string { return pathSchedule }
 
 func (s *poolSrc) body(id int) ([]byte, error) { return s.pool[id], nil }
 
@@ -83,25 +76,6 @@ func decodeSchedule(body []byte) (repro.PortfolioScenario, error) {
 		return repro.PortfolioScenario{}, err
 	}
 	return sj.Scenario(serve.Defaults{Platform: repro.TaihuLight()})
-}
-
-// expectFleet recomputes the /v1/simulate-fleet response for body:
-// fleet.Simulate on the decoded spec, rendered by the service's wire
-// function.
-func expectFleet(body []byte) ([]byte, error) {
-	sp, err := decodeFleet(body)
-	if err != nil {
-		return nil, err
-	}
-	sc, err := sp.BuildWith(portfolio.New(portfolio.Config{Workers: 1, Cache: portfolio.NewCache()}), 1)
-	if err != nil {
-		return nil, err
-	}
-	res, err := fleet.Simulate(sc)
-	if err != nil {
-		return nil, err
-	}
-	return encodeLine(serve.FleetSummaryOf(sc, res))
 }
 
 // encodeLine renders v exactly as the service writes a response: JSON
