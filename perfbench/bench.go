@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"time"
 )
@@ -27,25 +28,39 @@ type bench struct {
 const setupReps = 9
 
 // Phase sizes. The fixed-rate phase sends fixedFrac of the budget's
-// worth of requests at the nominal rate, at least fixedMin; the closed
-// loop about closedFrac of the budget at the throughput the nominal
-// rate implies; each of the capacityRungs capacity rungs rungFrac at
-// the rung's rate, at least rungMin. Latencies are summarised over
-// windows of at least windowMin requests: p50 and p90 are the medians
-// of the windows' p50s and p90s; p99 is the tailOver quantile of the windows' p99s. On the
-// shared 2-vCPU reference host a quarter to a half of the windows of a
-// run carry a host stall that doubles their p99; the lower quartile is
-// the daemon's p99 outside those stalls. fixedMin and rungMin are
-// variables so the smoke test can run in seconds.
+// worth of requests at the nominal rate, at least fixedMin, as
+// fixedWindows windows; the closed loop about closedFrac of the budget
+// at the workload's expected closed-loop throughput, as closedWindows
+// windows; each of the capacityRungs capacity rungs rungFrac of the
+// budget at ladderStart times that throughput, at least rungMin. The
+// three kinds of window interleave evenly over the whole measured
+// span: the reference host's speed drifts over tens of seconds, and
+// each metric's median then samples all of that drift rather than its
+// own few seconds of it. p50 is the median of the fixed-rate windows'
+// p50s. The report's p90 and p99 summarise the fixed-rate requests
+// over windows of at least windowMin: the median of the window p90s
+// and the tailOver quantile of the window p99s. On the shared 2-vCPU
+// reference host a quarter to a half of those windows carry a host
+// stall that doubles their p99; the lower quartile is the daemon's p99
+// outside those stalls. fixedMin and rungMin are variables so the
+// smoke test can run in seconds.
 const (
 	fixedFrac, closedFrac, rungFrac = 0.35, 0.15, 0.1
 	windowMin, maxWindows           = 500, 20
-	closedWindows, rungWindows      = 20, 5
-	capacityRungs                   = 10
+	fixedWindows, closedWindows     = 20, 20
+	capacityRungs, rungWindows      = 10, 5
 	tailOver                        = 0.25
 )
 
 var fixedMin, rungMin = 1000, 500
+
+// The kinds of measured window, in the order interleave takes their
+// counts.
+const (
+	fixedKind = iota
+	closedKind
+	rungKind
+)
 
 // job is what a workload sends and how its answers are checked.
 type job struct {
@@ -163,10 +178,12 @@ type rung struct {
 	passed bool
 }
 
-// endToEnd is the untraced run: set-up, the fixed-rate open loop and a
-// closed loop, interleaved, then the capacity search, then the
-// correctness check. The first two send fixed request counts, so the
-// daemon's CPU and memory are read over the same work on every run.
+// endToEnd is the untraced run: set-up, then the windows of the
+// fixed-rate open loop, the closed loop and the capacity search,
+// interleaved, then the correctness check. Daemon CPU is summed over
+// the fixed-rate and closed-loop windows, whose request counts are
+// fixed; peak RSS is read at the end, after a request count that is
+// fixed too.
 func (b *bench) endToEnd() (*result, error) {
 	cal, err := calibrate(b.w.nominal)
 	if err != nil {
@@ -188,10 +205,6 @@ func (b *bench) endToEnd() (*result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cpu0, err := d.cpuSeconds()
-	if err != nil {
-		return nil, err
-	}
 	rss0, err := d.peakRSSMB()
 	if err != nil {
 		return nil, err
@@ -203,46 +216,64 @@ func (b *bench) endToEnd() (*result, error) {
 		return nil, err
 	}
 	nFixed := max(fixedMin, int(b.w.nominal*b.budget.Seconds()*fixedFrac))
-	windows := min(maxWindows, max(1, nFixed/windowMin))
-	// The nominal rate is about a quarter of the closed-loop throughput.
-	nClosed := max(closedWindows, int(4*b.w.nominal*b.budget.Seconds()*closedFrac)/closedWindows)
-	var winP50, winP90, winP99, fixedLate, tputs []float64
-	fixedBacklog := 0
-	// The fixed-rate and closed-loop windows alternate, spread evenly
-	// over both phases: the host's speed drifts over seconds, and each
-	// phase's median then samples all of that drift rather than its own
-	// few seconds of it.
-	slots := windows + closedWindows
-	for i := 0; i < slots; i++ {
-		if (i+1)*windows/slots > i*windows/slots {
-			w := i * windows / slots
-			p, err := openLoop(t, j.src, b.w.nominal, nFixed/windows, b.seed^0xF1C5ED^uint64(w)<<40)
-			if err != nil {
-				return nil, err
-			}
-			all = append(all, p.records...)
-			lat := p.latMS()
-			winP50 = append(winP50, quantile(lat, 0.5))
-			winP90 = append(winP90, quantile(lat, 0.9))
-			winP99 = append(winP99, quantile(lat, 0.99))
-			fixedLate = append(fixedLate, p.late...)
-			fixedBacklog = max(fixedBacklog, p.backlog)
-			continue
+	nClosed := max(closedWindows, int(b.w.closed*b.budget.Seconds()*closedFrac)/closedWindows)
+	nRung := max(rungMin, int(b.w.ladderStart*b.w.closed*b.budget.Seconds()*rungFrac))
+	var fixed []record
+	var winP50, fixedLate, tputs []float64
+	var cpu float64
+	fixedBacklog, windowOK := 0, 0
+	var stairs *staircase
+	// Every window sends a fixed request count, so the daemon's CPU and
+	// memory are read after the same work on every run.
+	for i, kind := range interleave(fixedWindows, closedWindows, capacityRungs) {
+		c0, err := d.cpuSeconds()
+		if err != nil {
+			return nil, err
 		}
-		p, err := closedLoop(t, j.src, nClosed)
+		var p *phase
+		switch kind {
+		case fixedKind:
+			p, err = openLoop(t, j.src, b.w.nominal, nFixed/fixedWindows, b.seed^0xF1C5ED^uint64(i)<<40)
+		case closedKind:
+			p, err = closedLoop(t, j.src, nClosed)
+		case rungKind:
+			if stairs == nil {
+				// The interleaving puts a closed-loop window first.
+				stairs = newStaircase(b.w, median(tputs))
+			}
+			p, err = openLoop(t, j.src, stairs.rate(), nRung, b.seed^uint64(i)<<32)
+		}
 		if err != nil {
 			return nil, err
 		}
 		all = append(all, p.records...)
-		tputs = append(tputs, float64(p.ok())/p.elapsed.Seconds())
+		if kind == rungKind {
+			stairs.record(p)
+			continue
+		}
+		c1, err := d.cpuSeconds()
+		if err != nil {
+			return nil, err
+		}
+		cpu += c1 - c0
+		windowOK += p.ok()
+		if kind == fixedKind {
+			fixed = append(fixed, p.records...)
+			winP50 = append(winP50, quantile(p.latMS(), 0.5))
+			fixedLate = append(fixedLate, p.late...)
+			fixedBacklog = max(fixedBacklog, p.backlog)
+		} else {
+			tputs = append(tputs, float64(p.ok())/p.elapsed.Seconds())
+		}
 	}
-	p50, p90, p99 := median(winP50), median(winP90), quantile(winP99, tailOver)
+	p50 := median(winP50)
+	fixedWins := max(1, len(fixed)/windowMin)
+	p90, p99 := windowQuantile(fixed, fixedWins, 0.9, 0.5), windowQuantile(fixed, fixedWins, 0.99, tailOver)
+	winP99 := windowQuantiles(fixed, fixedWins, 0.99)
 	throughput := median(tputs)
+	capacity := stairs.capacity()
+	cpuPerReq := cpu * 1000 / float64(windowOK)
 
-	cpu1, err := d.cpuSeconds()
-	if err != nil {
-		return nil, err
-	}
 	rss, err := d.peakRSSMB()
 	if err != nil {
 		return nil, err
@@ -251,13 +282,8 @@ func (b *bench) endToEnd() (*result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cpuPerReq := (cpu1 - cpu0) * 1000 / float64(okCount(all))
 	memoRequests := len(all)
 
-	capacity, rungs, err := b.capacity(t, j.src, throughput, &all)
-	if err != nil {
-		return nil, err
-	}
 	stolen, err := steal.share()
 	if err != nil {
 		return nil, err
@@ -291,7 +317,7 @@ func (b *bench) endToEnd() (*result, error) {
 	var rep strings.Builder
 	fmt.Fprintf(&rep, "workload %s seed %d: %d requests, %d failed, %d wrong answers\n", b.w.name, b.seed, len(all), failed, wrong)
 	fmt.Fprintf(&rep, "fixed rate %.0f req/s: %d requests in %d windows, p50 %.3f ms, p90 %.3f ms, p99 %.3f ms (window p99s %.3f ms); closed loop: %d windows of %d requests, %.0f req/s\n",
-		b.w.nominal, nFixed, windows, p50, p90, p99, winP99, closedWindows, nClosed, tputs)
+		b.w.nominal, len(fixed), fixedWindows, p50, p90, p99, winP99, closedWindows, nClosed, tputs)
 	fmt.Fprintf(&rep, "host: %.1f%% of CPU time stolen by the hypervisor over the measured phases\n", 100*stolen)
 	fmt.Fprintf(&rep, "generator: ceiling %.0f req/s on a trivial handler, late p99 %.3f ms at rest, %.3f ms in the fixed-rate phase, backlog max %d\n",
 		cal.ceiling, cal.lateP99, late, fixedBacklog)
@@ -303,7 +329,7 @@ func (b *bench) endToEnd() (*result, error) {
 	fmt.Fprintf(&rep, "memo: %.0f entries after %d requests (%.1f per request); peak RSS %.1f MB after set-up, %.1f MB after them (%.1f MB per 1000 requests); %.0f hits, %.0f misses\n",
 		entries, memoRequests, entries/float64(memoRequests), rss0, rss, (rss-rss0)/float64(memoRequests)*1000,
 		delta(m0, m1, "portfolio_cache_hits_total"), delta(m0, m1, "portfolio_cache_misses_total"))
-	for _, r := range rungs {
+	for _, r := range stairs.rungs {
 		fmt.Fprintf(&rep, "ladder %8.1f req/s: p99 %8.3f ms, fail %.4f, backlog grew %v, pass %v\n", r.rate, r.p99, r.fail, r.grew, r.passed)
 	}
 	fmt.Fprint(b.out, rep.String())
@@ -313,62 +339,90 @@ func (b *bench) endToEnd() (*result, error) {
 	return res, nil
 }
 
-// capacity runs an up-down staircase of capacityRungs rungs on the
-// workload's ladder, from the rung below ladderStart times the
-// closed-loop throughput. A rung passes when its p99, summarised over
-// windows as in the report, is under the SLO, fewer than 1% of its
-// requests fail, and the generator's backlog did not grow. After a pass
-// the next rung is higher, after a failure lower: two rungs at a time
-// until the second reversal of direction, then one. From there the
-// staircase oscillates about the knee, and capacity is the median rate
-// of the rungs that passed there, so a stall of the daemon or the host
-// during one rung moves the result by a fraction of a rung instead of
-// ending the search. Waiting for the second reversal keeps one failed
-// first rung from leaving the staircase to crawl up from below the
-// knee. Without such rungs capacity is the highest rate that passed, 0
-// if none did.
-func (b *bench) capacity(t *target, src source, throughput float64, all *[]record) (float64, []rung, error) {
-	ladder := b.w.ladder
+// staircase is the capacity search: an up-down staircase of rungs on
+// the workload's ladder, from the rung below ladderStart times the
+// closed-loop throughput measured so far. A rung passes when its p99,
+// summarised over windows as in the report, is under the SLO, fewer
+// than 1% of its requests fail, and the generator's backlog did not
+// grow. After a pass the next rung is higher, after a failure lower:
+// four rungs at a time at first, halving at each reversal of direction
+// down to one. From there the staircase oscillates about the knee, and
+// capacity is the median rate of the rungs that passed there, so a
+// stall of the daemon or the host during one rung moves the result by
+// a fraction of a rung instead of ending the search. The wide first
+// steps reach the knee within a few rungs from a start that one slow
+// closed-loop window set far below it; waiting for the step to reach
+// one keeps one failed first rung from leaving the staircase to crawl
+// up from below the knee. Without settled rungs capacity is the
+// highest rate that passed, 0 if none did.
+type staircase struct {
+	w       workload
+	k       int // index of the next rung's rate on the ladder
+	step    int
+	rungs   []rung
+	settled []float64
+}
+
+func newStaircase(w workload, throughput float64) *staircase {
 	k := 0
-	for k+1 < len(ladder) && ladder[k+1] <= b.w.ladderStart*throughput {
+	for k+1 < len(w.ladder) && w.ladder[k+1] <= w.ladderStart*throughput {
 		k++
 	}
-	var rungs []rung
-	var settled []float64
-	step, reversals := 2, 0
-	for i := 0; i < capacityRungs; i++ {
-		rate := ladder[k]
-		n := max(rungMin, int(rate*b.budget.Seconds()*rungFrac))
-		p, err := openLoop(t, src, rate, n, b.seed^uint64(i)<<32)
-		if err != nil {
-			return 0, nil, err
-		}
-		*all = append(*all, p.records...)
-		r := rung{rate: rate, p99: windowQuantile(p.records, rungWindows, 0.99, tailOver), fail: p.failFrac(), grew: p.backlogGrew()}
-		r.passed = r.p99 < b.w.slo && r.fail < 0.01 && !r.grew
-		rungs = append(rungs, r)
-		if i > 0 && r.passed != rungs[i-1].passed {
-			if reversals++; reversals == 2 {
-				step = 1
-			}
-		}
-		if step == 1 && r.passed {
-			settled = append(settled, rate)
-		}
-		if r.passed {
-			k = min(k+step, len(ladder)-1)
-		} else {
-			k = max(k-step, 0)
-		}
+	return &staircase{w: w, k: k, step: 4}
+}
+
+// rate is the next rung's rate.
+func (s *staircase) rate() float64 { return s.w.ladder[s.k] }
+
+// record judges the rung p, sent at rate(), and picks the next rate.
+func (s *staircase) record(p *phase) {
+	r := rung{rate: s.rate(), p99: windowQuantile(p.records, rungWindows, 0.99, tailOver), fail: p.failFrac(), grew: p.backlogGrew()}
+	r.passed = r.p99 < s.w.slo && r.fail < 0.01 && !r.grew
+	if n := len(s.rungs); n > 0 && r.passed != s.rungs[n-1].passed {
+		s.step = max(1, s.step/2)
 	}
-	if len(settled) > 0 {
-		return median(settled), rungs, nil
+	s.rungs = append(s.rungs, r)
+	if s.step == 1 && r.passed {
+		s.settled = append(s.settled, r.rate)
+	}
+	if r.passed {
+		s.k = min(s.k+s.step, len(s.w.ladder)-1)
+	} else {
+		s.k = max(s.k-s.step, 0)
+	}
+}
+
+func (s *staircase) capacity() float64 {
+	if len(s.settled) > 0 {
+		return median(s.settled)
 	}
 	best := 0.0
-	for _, r := range rungs {
+	for _, r := range s.rungs {
 		if r.passed {
 			best = max(best, r.rate)
 		}
 	}
-	return best, rungs, nil
+	return best
+}
+
+// interleave spreads counts[k] windows of each kind k evenly over one
+// sequence of kinds: the j-th window of kind k sits at (j+0.5)/counts[k]
+// of the way through it.
+func interleave(counts ...int) []int {
+	type slot struct {
+		at   float64
+		kind int
+	}
+	var slots []slot
+	for k, n := range counts {
+		for j := 0; j < n; j++ {
+			slots = append(slots, slot{(float64(j) + 0.5) / float64(n), k})
+		}
+	}
+	sort.SliceStable(slots, func(a, b int) bool { return slots[a].at < slots[b].at })
+	kinds := make([]int, len(slots))
+	for i, s := range slots {
+		kinds[i] = s.kind
+	}
+	return kinds
 }

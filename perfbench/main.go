@@ -63,6 +63,10 @@ type workload struct {
 	// nominal is the fixed open-loop rate p50_ms and p99_ms are
 	// measured at, in requests per second.
 	nominal float64
+	// closed is the closed-loop throughput, in requests per second,
+	// the closed-loop windows and capacity rungs are sized for: about
+	// what the reference host reaches.
+	closed float64
 	// slo is the p99 latency limit, in ms, a capacity rung must meet.
 	slo float64
 	// ladder is the fixed ascending list of rates capacity_rps is
@@ -81,18 +85,21 @@ func geometric(lo, r float64, n int) []float64 {
 	return out
 }
 
-// The nominal rates sit near a quarter of each workload's closed-loop
-// throughput on a 2-CPU host, where the p99 reflects the daemon's
-// slowest requests more than queueing behind them. The SLOs are far above the p99 at the
-// nominal rate, so capacity marks the knee where queues start to grow,
-// not a point on the gradual rise before it, and moves with the
-// system's speed more than with its noise. The ladders step by 2^(1/16)
-// (4.4%) from far below capacity to above it; the search starts a rung
-// or two below where the knee sat on that host, as a share
-// (ladderStart) of the closed-loop throughput.
+// The nominal rates sit near an eighth of each workload's closed-loop
+// throughput on a 2-CPU host, so a request seldom waits for another and
+// the p50 follows the speed of one request alone. A host that lends its
+// CPUs to other guests can cut the daemon's capacity by half or more:
+// at a quarter of the throughput the fixed-rate loop then ran past the
+// knee and its p50 grew twentyfold, at a sixth it grew fourfold.
+// The SLOs are far above the p99 at the nominal rate, so capacity marks
+// the knee where queues start to grow, not a point on the gradual rise
+// before it, and moves with the system's speed more than with its
+// noise. The ladders step by 2^(1/16) (4.4%) from far below capacity to
+// above it; the search starts a rung or two below where the knee sat on
+// that host, as a share (ladderStart) of the closed-loop throughput.
 var workloads = []workload{
-	{name: "schedule-cold", nominal: 500, slo: 100, ladder: geometric(100, math.Pow(2, 1.0/16), 96), ladderStart: 0.85},
-	{name: "schedule-warm", nominal: 1500, slo: 50, ladder: geometric(400, math.Pow(2, 1.0/16), 96), ladderStart: 0.95},
+	{name: "schedule-cold", nominal: 200, closed: 1700, slo: 100, ladder: geometric(100, math.Pow(2, 1.0/16), 96), ladderStart: 0.85},
+	{name: "schedule-warm", nominal: 750, closed: 5500, slo: 50, ladder: geometric(400, math.Pow(2, 1.0/16), 96), ladderStart: 0.95},
 }
 
 func findWorkload(name string) (workload, error) {
