@@ -5,11 +5,9 @@ import (
 	"testing"
 )
 
-// The cache-thrash fix in numbers: BestSchedule used to build a fresh
-// engine + cache per call, so a service evaluating the same workload
-// repeatedly recomputed all twelve heuristics every time. Routed
-// through the shared default client, repeat calls are one cache probe
-// per heuristic.
+// Memoization in numbers: a long-lived client serves a repeated
+// workload from its cache with one probe per heuristic, while a fresh
+// client per call recomputes all twelve heuristics every time.
 
 func benchWorkload() ([]Application, Platform) {
 	apps := NPB()
@@ -19,40 +17,21 @@ func benchWorkload() ([]Application, Platform) {
 	return apps, TaihuLight()
 }
 
-// BenchmarkBestScheduleMemoized measures the current shim: repeat calls
-// hit the shared default client's memoization cache.
-func BenchmarkBestScheduleMemoized(b *testing.B) {
+// BenchmarkClientBestTransient builds a fresh client (engine and cache)
+// per call — the comparison baseline for BenchmarkClientBestMemoized.
+func BenchmarkClientBestTransient(b *testing.B) {
 	apps, pl := benchWorkload()
-	if _, _, err := BestSchedule(pl, apps, 42); err != nil { // warm the cache
-		b.Fatal(err)
-	}
+	ctx := context.Background()
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := BestSchedule(pl, apps, 42); err != nil {
+		if _, _, err := NewClient(WithSeed(42)).Best(ctx, pl, apps); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkBestScheduleTransientEngine reproduces the pre-v2 shim — a
-// fresh engine and cache per call — as the comparison baseline.
-func BenchmarkBestScheduleTransientEngine(b *testing.B) {
-	apps, pl := benchWorkload()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rep, err := NewPortfolio(0).Evaluate(PortfolioScenario{Platform: pl, Apps: apps, Seed: 42})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.BestResult() == nil {
-			b.Fatal("no feasible schedule")
-		}
-	}
-}
-
-// BenchmarkClientBestMemoized is the v2 path itself (Client.Best on a
-// long-lived client), for comparison with the shims above.
+// BenchmarkClientBestMemoized is Client.Best on a long-lived client:
+// repeat calls hit its memoization cache.
 func BenchmarkClientBestMemoized(b *testing.B) {
 	apps, pl := benchWorkload()
 	c := NewClient(WithSeed(42))

@@ -396,33 +396,37 @@ func TestBestCancellationPreCancelled(t *testing.T) {
 	}
 }
 
-// TestDefaultClientMemoizes is the BestSchedule cache-thrash fix: the
-// legacy shim must hit the shared default client's cache on repeat
-// calls instead of rebuilding a transient engine.
+// TestDefaultClientMemoizes: a client built with default options
+// memoizes, so repeat calls on one long-lived client are served from its
+// cache instead of being recomputed, and an online simulation on the
+// same client leaves that cache alone (simulations memoize into their
+// own plan caches).
 func TestDefaultClientMemoizes(t *testing.T) {
+	ctx := context.Background()
+	c := NewClient()
 	pl := TaihuLight()
 	apps := testApps(4242)
-	s1, _, err := BestSchedule(pl, apps, 1)
+	sc := PortfolioScenario{Platform: pl, Apps: apps, Seed: 1}
+	rep1, err := c.Evaluate(ctx, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	missesAfterFirst := DefaultClient().Engine().CacheStats().Misses
-	s2, rep, err := BestSchedule(pl, apps, 1)
+	after := c.Engine().CacheStats()
+	rep2, err := c.Evaluate(ctx, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s1.Makespan != s2.Makespan {
-		t.Fatalf("repeat BestSchedule diverged: %v vs %v", s1.Makespan, s2.Makespan)
+	if rep1.BestSchedule().Makespan != rep2.BestSchedule().Makespan {
+		t.Fatalf("repeat Evaluate diverged: %v vs %v", rep1.BestSchedule().Makespan, rep2.BestSchedule().Makespan)
 	}
-	if m := DefaultClient().Engine().CacheStats().Misses; m != missesAfterFirst {
-		t.Fatalf("repeat BestSchedule recomputed: misses %d -> %d", missesAfterFirst, m)
+	if m := c.Engine().CacheStats().Misses; m != after.Misses {
+		t.Fatalf("repeat Evaluate recomputed: misses %d -> %d", after.Misses, m)
 	}
-	for _, r := range rep.Results {
+	for _, r := range rep2.Results {
 		if !r.FromCache {
-			t.Fatalf("%v not served from the default client's cache", r.Heuristic)
+			t.Fatalf("%v not served from the client's cache", r.Heuristic)
 		}
 	}
-	// SimulateOnline shim routes through the same shared client.
 	factory, err := CycleJobs(apps)
 	if err != nil {
 		t.Fatal(err)
@@ -431,12 +435,12 @@ func TestDefaultClientMemoizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol, err := NoRepartitionPolicy(DominantMinRatio, 1)
-	if err != nil {
+	before := c.Engine().CacheStats()
+	if _, err := c.SimulateOnline(ctx, OnlineScenario{Platform: pl, Arrivals: arr, Policy: des.NewPortfolioPolicy(c.Engine(), 0, 1)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SimulateOnline(OnlineScenario{Platform: pl, Arrivals: arr, Policy: pol}); err != nil {
-		t.Fatal(err)
+	if st := c.Engine().CacheStats(); st != before {
+		t.Fatalf("online simulation touched the client's cache: %+v -> %+v", before, st)
 	}
 }
 

@@ -286,7 +286,7 @@ func (sp *Spec) BuildWith(engine *portfolio.Engine, workers int) (Scenario, erro
 	if spec == "" {
 		spec = "DominantMinRatio"
 	}
-	pol, err := parsePolicyWith(engine, spec, workers, sp.Seed)
+	pol, err := ParsePolicyShared(engine, spec, workers, sp.Seed)
 	if err != nil {
 		return Scenario{}, err
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/obs"
-	"repro/internal/sched"
 )
 
 // metricsSpec is the shared scenario of the instrumentation tests: a
@@ -175,22 +174,21 @@ func TestReplanReporterImplementations(t *testing.T) {
 	}
 }
 
-// TestMemoEvictionTelemetry drives a tiny memo past capacity and checks
-// evictions surface through MemoStats and ReplanStats.
+// TestMemoEvictionTelemetry drives a policy's plan cache past its
+// 256-entry bound (every event of a sparse stream has a fresh residual
+// shape) and checks the evictions surface through ReplanStats.
 func TestMemoEvictionTelemetry(t *testing.T) {
 	sc := mustBuild(t, Spec{
-		Arrivals:    ArrivalSpec{Process: "poisson", Rate: 4e-9, N: 48},
+		Arrivals:    ArrivalSpec{Process: "poisson", Rate: 1e-9, N: 1200},
 		Policy:      "DominantMinRatio",
 		MaxResident: 3,
 		Seed:        7,
 	})
-	hp := sc.Policy.(*HeuristicPolicy)
-	hp.memo = sched.NewPlanMemo(2)
 	res, err := Simulate(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Replan.MemoEvictions == 0 {
-		t.Error("tiny memo reported zero evictions on a 48-job stream")
+		t.Errorf("a 1200-job stream reported zero plan-cache evictions: %+v", res.Replan)
 	}
 }

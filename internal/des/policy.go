@@ -1,6 +1,7 @@
 package des
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -47,23 +48,24 @@ const policySeedStride = 0x9E3779B97F4A7C15
 
 // ReplanStats is the delta-rescheduling telemetry of an online policy:
 // how often an Allocate call was served entirely by certified memoized
-// plans versus falling back to a full solve, plus the underlying plan
-// memo's hit/miss counters (which count per-heuristic lookups, so for
-// the portfolio policy they run ahead of the per-call counters).
+// plans versus running a solver, plus the policy's plan cache counters
+// (which count per-heuristic lookups of the deterministic heuristics,
+// so for the portfolio policy they run ahead of the per-call counters).
 type ReplanStats struct {
 	// FastPath counts Allocate calls answered without running any
-	// deterministic solver: every deterministic plan came from the memo,
-	// certified bit-equivalent by its exact input fingerprint.
+	// deterministic solver: every deterministic plan came from the plan
+	// cache, certified bit-equivalent by its exact input key.
 	FastPath uint64 `json:"fastPath"`
-	// FullSolve counts Allocate calls that ran the full (cold) solve —
-	// first-seen resident shapes, evicted entries, or full-replan mode.
+	// FullSolve counts Allocate calls that ran at least one
+	// deterministic solve — first-seen resident shapes, evicted entries,
+	// or full-replan mode.
 	FullSolve uint64 `json:"fullSolve"`
-	// MemoHits / MemoMisses are the plan memo's per-lookup counters.
+	// MemoHits / MemoMisses are the plan cache's per-lookup counters.
 	MemoHits   uint64 `json:"memoHits"`
 	MemoMisses uint64 `json:"memoMisses"`
-	// MemoEvictions counts plans the memo's FIFO capacity bound dropped;
-	// a high rate on a recurring workload means the memo is undersized
-	// for the resident-shape variety.
+	// MemoEvictions counts plans the cache's FIFO capacity bound
+	// dropped; a high rate on a recurring workload means the cache is
+	// undersized for the resident-shape variety.
 	MemoEvictions uint64 `json:"memoEvictions,omitempty"`
 }
 
@@ -83,6 +85,13 @@ func (r ReplanStats) HitRate() float64 {
 		return 0
 	}
 	return float64(r.MemoHits) / float64(total)
+}
+
+// withCache fills st's memo counters from the policy's plan cache.
+func (st ReplanStats) withCache(c *portfolio.Cache) ReplanStats {
+	cs := c.Stats()
+	st.MemoHits, st.MemoMisses, st.MemoEvictions = cs.Hits, cs.Misses, cs.Evictions
+	return st
 }
 
 // residualApps builds the application set a policy hands to the paper's
@@ -117,18 +126,18 @@ func residualApps(buf []model.Application, residents []Resident) []model.Applica
 
 // HeuristicPolicy repartitions with one of the paper's heuristics at
 // every decision point, rescheduling the residual work of every
-// resident job. For deterministic heuristics it replans through a
-// sched.PlanMemo: a recurring resident shape (waves of template jobs
-// under a residency cap) is served by the memoized plan, certified
-// bit-equivalent to a cold solve by its exact input fingerprint.
+// resident job. It replans through its own plan cache
+// (portfolio.NewReplanCache): a recurring resident shape (waves of
+// template jobs under a residency cap) is served by the memoized plan,
+// certified bit-equivalent to a cold solve by its exact input key.
 // Randomized heuristics always re-solve — their per-call RNG substream
-// never repeats, so no cached plan can be certified.
+// never repeats, so the cache does not memoize them.
 type HeuristicPolicy struct {
 	h     sched.Heuristic
 	seed  uint64
 	calls uint64
 	full  bool
-	memo  *sched.PlanMemo
+	cache *portfolio.Cache
 	stats ReplanStats
 	apps  []model.Application // residual-work plan buffer, recycled
 }
@@ -141,45 +150,34 @@ func NewHeuristicPolicy(h sched.Heuristic, seed uint64) (*HeuristicPolicy, error
 	if h == sched.AllProcCache {
 		return nil, fmt.Errorf("des: %v is sequential and cannot drive online repartitioning", h)
 	}
-	return &HeuristicPolicy{h: h, seed: seed, memo: sched.NewPlanMemo(0)}, nil
+	return &HeuristicPolicy{h: h, seed: seed, cache: portfolio.NewReplanCache()}, nil
 }
 
-// SetFullReplan disables (true) or re-enables (false) the delta
-// fast path, forcing every Allocate call through a cold solve. The
-// conform equivalence sweep runs both modes and compares event logs
+// SetFullReplan disables (true) or re-enables (false) the plan cache,
+// forcing every Allocate call through a cold solve. The conform
+// equivalence sweep runs both modes and compares event logs
 // bit-for-bit; the ":full" policy-spec suffix exposes it on the wire.
 func (p *HeuristicPolicy) SetFullReplan(full bool) { p.full = full }
 
 // ReplanStats reports the delta-rescheduling telemetry; the engine
 // copies it into Result.Replan.
-func (p *HeuristicPolicy) ReplanStats() ReplanStats {
-	st := p.stats
-	ms := p.memo.Stats()
-	st.MemoHits, st.MemoMisses, st.MemoEvictions = ms.Hits, ms.Misses, ms.Evictions
-	return st
-}
+func (p *HeuristicPolicy) ReplanStats() ReplanStats { return p.stats.withCache(p.cache) }
 
 // Allocate implements Policy.
 func (p *HeuristicPolicy) Allocate(pl model.Platform, residents []Resident) ([]sched.Assignment, error) {
 	p.calls++
-	// Deterministic heuristics never read the RNG; skipping its
-	// construction is bit-identical and keeps the fast path
-	// allocation-free. The call counter still advances so the substream
-	// schedule is independent of the heuristic kind.
-	var rng *solve.RNG
-	if p.h.Randomized() {
-		rng = solve.NewRNG(p.seed ^ p.calls*policySeedStride)
-	}
 	p.apps = residualApps(p.apps, residents)
-	memo := p.memo
+	cache := p.cache
 	if p.full {
-		memo = nil
+		cache = nil
 	}
-	s, fromMemo, err := p.h.ScheduleWarm(pl, p.apps, rng, memo)
+	// The call counter advances for every heuristic kind, so the
+	// substream schedule is independent of whether h reads it.
+	s, fromCache, err := cache.Schedule(context.TODO(), pl, p.apps, p.h, p.seed^p.calls*policySeedStride)
 	if err != nil {
-		return nil, &sched.HeuristicError{Heuristic: p.h, Err: err}
+		return nil, err
 	}
-	if fromMemo {
+	if fromCache {
 		p.stats.FastPath++
 	} else {
 		p.stats.FullSolve++
@@ -207,64 +205,80 @@ func onlineHeuristics() []sched.Heuristic {
 
 // PortfolioPolicy races the whole heuristic portfolio over the residual
 // workload at every decision point and applies the winner — the
-// portfolio engine turned into an online repartitioner. Concurrency
-// comes from the engine's worker pool; results are bit-deterministic at
-// any pool size, so the simulation is too.
+// portfolio engine turned into an online repartitioner. Races run on
+// the engine's worker pool; results are bit-deterministic at any pool
+// size, so the simulation is too.
 //
-// Delta rescheduling: the policy keeps a sched.PlanMemo of the
-// deterministic heuristics' plans, keyed by the exact bit pattern of
+// Delta rescheduling: the policy races through its own plan cache
+// (portfolio.NewReplanCache), keyed by the exact bit pattern of
 // (heuristic, platform, residual apps) — names excluded, so waves of
-// re-stamped template jobs ("cg#17") fingerprint identically. When
-// every deterministic heuristic hits the memo, the policy skips the
-// engine race entirely: it replays the certified plans, re-solves only
-// the randomized heuristics (their per-call substreams never repeat, so
-// they are never memoizable) with exactly the seeds the engine would
-// have derived, and picks the winner with the engine's own selection
-// rule. Any miss falls back to the full race, whose deterministic
-// results then seed the memo. Event logs are bit-identical either way.
+// re-stamped template jobs ("cg#17") key identically. On a recurring
+// resident shape every deterministic heuristic is served from the
+// cache without a worker slot, and only the randomized heuristics
+// (whose per-call substreams never repeat) are solved. Event logs are
+// bit-identical to a cold race either way.
 type PortfolioPolicy struct {
-	engine *portfolio.Engine
-	hs     []sched.Heuristic
+	engine *portfolio.Engine // the caller's pool, memoizing into cache unless full
+	cache  *portfolio.Cache
+	full   bool
 	seed   uint64
 	calls  uint64
-	full   bool
-	memo   *sched.PlanMemo
 	stats  ReplanStats
-	apps   []model.Application // residual-work plan buffer, recycled
-	rs     []portfolio.Result  // fast-path result buffer, recycled
+	sc     portfolio.Scenario // race input; Apps is the recycled residual buffer
+	rep    portfolio.Report   // race output, recycled
 
-	// Learned selection ("portfolio:selector"): when a ledger is set,
-	// Allocate first asks it for a confident predicted winner and, when
-	// it gets one, solves only that heuristic — on the exact substream
-	// the race would have given it — instead of racing the portfolio.
-	// A nil or empty ledger predicts nothing, so the policy is then
-	// bit-identical to plain "portfolio".
-	selMode     bool
-	ledger      *selector.Ledger
-	th          selector.Thresholds
-	predictions uint64
-	fallbacks   uint64
+	// Learned selection ("portfolio:selector"): when selCfg is set,
+	// Allocate goes through a portfolio.SelectorPolicy, which solves a
+	// confidently predicted winner alone — on the exact substream the
+	// race would have given it — and races otherwise. A nil or empty
+	// ledger predicts nothing, so the policy is then bit-identical to
+	// plain "portfolio".
+	selCfg *portfolio.SelectorConfig
+	sel    *portfolio.SelectorPolicy
 }
 
-// NewPortfolioPolicy returns a portfolio-driven policy. A nil engine
-// gets a private one with the given worker bound (< 1 = GOMAXPROCS)
-// and no memoization cache: the engine cache keys on job names, which
-// the online job stream re-stamps per arrival, so it would only
-// accumulate dead entries — recurring resident *shapes* are instead
-// served by the policy's own name-insensitive plan memo. Pass an
-// engine to share a worker pool with other users.
+// NewPortfolioPolicy returns a portfolio-driven policy racing on
+// engine's worker pool (nil = a private pool bounded by workers, < 1 =
+// GOMAXPROCS). Whatever cache the engine has, the policy memoizes into
+// its own: a simulation's plans stay out of a shared serving cache, and
+// its hit/miss telemetry depends on nothing but its own event stream.
 func NewPortfolioPolicy(engine *portfolio.Engine, workers int, seed uint64) *PortfolioPolicy {
 	if engine == nil {
 		engine = portfolio.New(portfolio.Config{Workers: workers})
 	}
-	return &PortfolioPolicy{engine: engine, hs: onlineHeuristics(), seed: seed, memo: sched.NewPlanMemo(0)}
+	p := &PortfolioPolicy{
+		engine: engine,
+		cache:  portfolio.NewReplanCache(),
+		seed:   seed,
+		sc:     portfolio.Scenario{Heuristics: onlineHeuristics()},
+	}
+	p.bind()
+	return p
 }
 
-// SetFullReplan disables (true) or re-enables (false) the delta
-// fast path, forcing every Allocate call through the full engine race.
-// The conform equivalence sweep runs both modes and compares event logs
+// bind points the policy's engine view (and selector) at its plan
+// cache, or at no cache in full-replan mode.
+func (p *PortfolioPolicy) bind() {
+	cache := p.cache
+	if p.full {
+		cache = nil
+	}
+	p.engine = p.engine.WithCache(cache)
+	if p.selCfg != nil {
+		cfg := *p.selCfg
+		cfg.Engine = p.engine
+		p.sel = portfolio.NewSelector(cfg)
+	}
+}
+
+// SetFullReplan disables (true) or re-enables (false) the plan cache,
+// forcing every Allocate call through a cold race. The conform
+// equivalence sweep runs both modes and compares event logs
 // bit-for-bit; the ":full" policy-spec suffix exposes it on the wire.
-func (p *PortfolioPolicy) SetFullReplan(full bool) { p.full = full }
+func (p *PortfolioPolicy) SetFullReplan(full bool) {
+	p.full = full
+	p.bind()
+}
 
 // SetLedger switches the policy into learned-selection mode backed by
 // l (nil keeps selector mode with an always-fallback empty ledger).
@@ -272,18 +286,18 @@ func (p *PortfolioPolicy) SetFullReplan(full bool) { p.full = full }
 // parsed a "portfolio:selector" spec inject the trained ledger here —
 // the ledger is runtime state, never part of the wire spec.
 func (p *PortfolioPolicy) SetLedger(l *selector.Ledger, th selector.Thresholds) {
-	p.selMode = true
-	p.ledger = l
-	if th == (selector.Thresholds{}) {
-		th = selector.DefaultThresholds()
-	}
-	p.th = th
+	p.selCfg = &portfolio.SelectorConfig{Ledger: l, Thresholds: th}
+	p.bind()
 }
 
 // SelectorStats reports how many Allocate calls were served by the
 // predicted winner versus by a race (zero unless in selector mode).
 func (p *PortfolioPolicy) SelectorStats() (predictions, fallbacks uint64) {
-	return p.predictions, p.fallbacks
+	if p.sel == nil {
+		return 0, 0
+	}
+	st := p.sel.Stats()
+	return st.Predictions, st.Fallbacks
 }
 
 // ConfigureSelector injects a trained ledger into pol when it is a
@@ -292,7 +306,7 @@ func (p *PortfolioPolicy) SelectorStats() (predictions, fallbacks uint64) {
 // mode ("portfolio:selector"), the caller supplies the ledger.
 func ConfigureSelector(pol Policy, l *selector.Ledger, th selector.Thresholds) bool {
 	pp, ok := pol.(*PortfolioPolicy)
-	if !ok || !pp.selMode {
+	if !ok || pp.selCfg == nil {
 		return false
 	}
 	pp.SetLedger(l, th)
@@ -301,53 +315,45 @@ func ConfigureSelector(pol Policy, l *selector.Ledger, th selector.Thresholds) b
 
 // ReplanStats reports the delta-rescheduling telemetry; the engine
 // copies it into Result.Replan.
-func (p *PortfolioPolicy) ReplanStats() ReplanStats {
-	st := p.stats
-	ms := p.memo.Stats()
-	st.MemoHits, st.MemoMisses, st.MemoEvictions = ms.Hits, ms.Misses, ms.Evictions
-	return st
-}
+func (p *PortfolioPolicy) ReplanStats() ReplanStats { return p.stats.withCache(p.cache) }
 
 // Allocate implements Policy.
 func (p *PortfolioPolicy) Allocate(pl model.Platform, residents []Resident) ([]sched.Assignment, error) {
 	p.calls++
+	p.sc.Platform = pl
+	p.sc.Apps = residualApps(p.sc.Apps, residents)
 	// The engine derives heuristic hi's stream as Seed ^ (hi+1)·stride
 	// with the same golden-ratio stride this package uses, so a plain
 	// seed ^ calls·stride here would cancel whenever calls == hi+1 and
 	// hand randomized heuristics systematically colliding streams.
 	// Mixing the per-call seed through SplitMix64 (one RNG step)
 	// decorrelates the two layers.
-	p.apps = residualApps(p.apps, residents)
-	scSeed := solve.NewRNG(p.seed ^ p.calls*policySeedStride).Uint64()
-	if p.selMode {
-		if asg, ok, err := p.predictPath(pl, scSeed); ok {
-			p.predictions++
-			return asg, err
+	p.sc.Seed = solve.NewRNG(p.seed ^ p.calls*policySeedStride).Uint64()
+	rep := &p.rep
+	if p.sel != nil {
+		d, err := p.sel.Select(context.TODO(), p.sc)
+		if err != nil {
+			return nil, err
 		}
-		p.fallbacks++
-	}
-	if !p.full {
-		if asg, ok, err := p.fastPath(pl, scSeed); ok {
-			p.stats.FastPath++
-			return asg, err
+		if d.Predicted {
+			return d.Report.BestSchedule().Assignments, nil
 		}
-	}
-	p.stats.FullSolve++
-	rep, err := p.engine.Evaluate(portfolio.Scenario{
-		Platform:   pl,
-		Apps:       p.apps,
-		Heuristics: p.hs,
-		Seed:       scSeed,
-	})
-	if err != nil {
+		rep = d.Report
+	} else if err := p.engine.EvaluateInto(context.TODO(), &p.sc, rep); err != nil {
 		return nil, err
 	}
-	// Seed the memo with this race's deterministic plans so the next
-	// recurrence of the same resident shape takes the fast path.
+	// The call took the fast path when no deterministic heuristic had
+	// to be solved.
+	fast := !p.full
 	for i := range rep.Results {
-		if res := &rep.Results[i]; res.Err == nil {
-			p.memo.Put(p.hs[i], pl, p.apps, res.Schedule)
+		if r := &rep.Results[i]; !r.Heuristic.Randomized() && !r.FromCache {
+			fast = false
 		}
+	}
+	if fast {
+		p.stats.FastPath++
+	} else {
+		p.stats.FullSolve++
 	}
 	best := rep.BestResult()
 	if best == nil {
@@ -356,85 +362,9 @@ func (p *PortfolioPolicy) Allocate(pl model.Platform, residents []Resident) ([]s
 	return best.Schedule.Assignments, nil
 }
 
-// fastPath attempts the certified delta path: every deterministic
-// heuristic's plan must come from the memo (any miss returns ok=false
-// and defers to the full race), the randomized heuristics are re-solved
-// with exactly the per-heuristic seeds engine.Evaluate would derive
-// (portfolio.HeuristicSeed), and the winner is selected with the
-// engine's own rule (portfolio.BestIndex) so ties break identically.
-// Bit-equivalence with the full race follows: memoized plans are
-// certified by their exact input fingerprints, and every non-memoized
-// computation reproduces the engine's arithmetic verbatim.
-func (p *PortfolioPolicy) fastPath(pl model.Platform, scSeed uint64) ([]sched.Assignment, bool, error) {
-	rs := p.rs
-	if cap(rs) < len(p.hs) {
-		rs = make([]portfolio.Result, len(p.hs))
-	}
-	rs = rs[:len(p.hs)]
-	p.rs = rs
-	for hi, h := range p.hs {
-		if h.Randomized() {
-			continue
-		}
-		s, ok := p.memo.Get(h, pl, p.apps)
-		if !ok {
-			return nil, false, nil
-		}
-		rs[hi] = portfolio.Result{Heuristic: h, Schedule: s}
-	}
-	for hi, h := range p.hs {
-		if !h.Randomized() {
-			continue
-		}
-		s, err := h.Schedule(pl, p.apps, solve.NewRNG(portfolio.HeuristicSeed(scSeed, hi)))
-		if err != nil {
-			err = &sched.HeuristicError{Heuristic: h, Err: err}
-		}
-		rs[hi] = portfolio.Result{Heuristic: h, Schedule: s, Err: err}
-	}
-	best := portfolio.BestIndex(rs)
-	if best < 0 {
-		return nil, true, fmt.Errorf("des: no heuristic produced a feasible repartition")
-	}
-	return rs[best].Schedule.Assignments, true, nil
-}
-
-// predictPath solves only the ledger's confidently predicted winner,
-// drawing the exact RNG substream the full race would have handed it
-// at its index (portfolio.HeuristicSeed), so the resulting plan is
-// bit-identical to that heuristic's lane of the race. ok is false —
-// deferring to the race — when the ledger has no confident call or the
-// predicted heuristic fails on this residual workload.
-func (p *PortfolioPolicy) predictPath(pl model.Platform, scSeed uint64) ([]sched.Assignment, bool, error) {
-	if p.ledger == nil {
-		return nil, false, nil
-	}
-	bucket := selector.Extract(pl, p.apps).Bucket()
-	pred, ok := p.ledger.Predict(bucket, p.hs)
-	if !ok || !pred.Confident(p.th) {
-		return nil, false, nil
-	}
-	hi := 0
-	for i, h := range p.hs {
-		if h == pred.Heuristic {
-			hi = i
-			break
-		}
-	}
-	var rng *solve.RNG
-	if pred.Heuristic.Randomized() {
-		rng = solve.NewRNG(portfolio.HeuristicSeed(scSeed, hi))
-	}
-	s, err := pred.Heuristic.Schedule(pl, p.apps, rng)
-	if err != nil || s.Sequential {
-		return nil, false, nil
-	}
-	return s.Assignments, true, nil
-}
-
 // Name implements Policy.
 func (p *PortfolioPolicy) Name() string {
-	if p.selMode {
+	if p.selCfg != nil {
 		return "portfolio:selector"
 	}
 	return "portfolio"
@@ -519,36 +449,31 @@ func (p *NoRepartition) Name() string { return "norepartition:" + p.h.String() }
 //	"<Heuristic>"              repartition with that heuristic every event
 //	"norepartition[:<H>]"      wave scheduling, frozen between drains
 //
-// The replanning policies ("portfolio" and plain heuristics) take the
-// delta-rescheduling fast path by default; appending ":full" (e.g.
-// "portfolio:full") forces full replanning at every event, which is
-// bit-equivalent and only useful for benchmarking and equivalence
-// testing. workers bounds the portfolio policy's pool (< 1 =
-// GOMAXPROCS); seed drives every randomized decision.
+// The replanning policies ("portfolio" and plain heuristics) serve
+// recurring resident shapes from their plan cache by default;
+// appending ":full" (e.g. "portfolio:full") forces a cold solve at
+// every event, which is bit-equivalent and only useful for
+// benchmarking and equivalence testing. workers bounds the portfolio
+// policy's pool (< 1 = GOMAXPROCS); seed drives every randomized
+// decision.
 func ParsePolicy(spec string, workers int, seed uint64) (Policy, error) {
-	return parsePolicyWith(nil, spec, workers, seed)
+	return ParsePolicyShared(nil, spec, workers, seed)
 }
 
 // ParsePolicyShared is ParsePolicy with a caller-supplied portfolio
 // engine backing a "portfolio" policy, so many policies (one per fleet
 // node) can share a single worker pool instead of each building a
-// private one. A nil engine falls back to ParsePolicy's behavior; the
+// private one. A nil engine gets a private pool bounded by workers; the
 // engine is unused for non-portfolio policies.
 func ParsePolicyShared(engine *portfolio.Engine, spec string, workers int, seed uint64) (Policy, error) {
-	return parsePolicyWith(engine, spec, workers, seed)
-}
-
-// parsePolicyWith is ParsePolicy with an optional shared engine for
-// the portfolio policy (nil = private engine bounded by workers).
-func parsePolicyWith(engine *portfolio.Engine, spec string, workers int, seed uint64) (Policy, error) {
 	if base, found := strings.CutSuffix(spec, ":full"); found {
-		pol, err := parsePolicyWith(engine, base, workers, seed)
+		pol, err := ParsePolicyShared(engine, base, workers, seed)
 		if err != nil {
 			return nil, err
 		}
 		fr, ok := pol.(interface{ SetFullReplan(bool) })
 		if !ok {
-			return nil, fmt.Errorf("des: policy %q has no delta-rescheduling fast path to disable", base)
+			return nil, fmt.Errorf("des: policy %q has no plan cache to disable", base)
 		}
 		fr.SetFullReplan(true)
 		return pol, nil

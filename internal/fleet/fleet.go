@@ -16,18 +16,17 @@
 // i's policy seed is derived from the fleet seed with the repository's
 // golden-ratio stride (NodePolicySeed), the router's stream is salted
 // and split off separately, arrivals are routed serially in stream
-// order, and the per-node event loops are internal/des verbatim —
-// bit-deterministic at any worker count. Workers only bounds *how* the
-// independent node advancements and the shared portfolio pool execute,
-// never what they compute; the conform fleet harness pins digests at 1
-// and 8 workers against a committed golden corpus.
+// order, and the per-node event loops are internal/des verbatim, each
+// advanced in turn — bit-deterministic at any worker count. Workers
+// only bounds the shared portfolio pool the nodes' races run on, never
+// what they compute; the conform fleet harness pins digests at 1 and 8
+// workers against a committed golden corpus.
 package fleet
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/des"
 	"repro/internal/model"
@@ -69,10 +68,9 @@ type Scenario struct {
 	// Seed drives every random draw: node policy substreams and the
 	// router's stream are both derived from it.
 	Seed uint64
-	// Workers bounds the parallelism of the run: the shared portfolio
-	// pool backing "portfolio" node policies and the concurrent
-	// advancement of independent nodes (< 1 = GOMAXPROCS). Results are
-	// bit-identical at any value.
+	// Workers bounds the shared portfolio pool backing "portfolio" node
+	// policies (< 1 = GOMAXPROCS). Results are bit-identical at any
+	// value.
 	Workers int
 	// Engine optionally supplies the shared portfolio engine backing
 	// "portfolio" node policies (nil = a private pool bounded by
@@ -230,21 +228,16 @@ func SimulateContext(ctx context.Context, sc Scenario) (*Result, error) {
 			continue // keep draining to count every truncated arrival
 		}
 		// Advance every node to the arrival instant, then score them.
-		// Nodes are independent simulations, so the advancement
-		// parallelizes without affecting any result bit.
-		if err := eachNode(nodes, sc.Workers, func(i int) error {
-			if err := nodes[i].AdvanceBefore(a.Time); err != nil {
-				return err
+		for i, n := range nodes {
+			if err := n.AdvanceBefore(a.Time); err != nil {
+				return nil, err
 			}
 			states[i] = NodeState{
 				Index:    i,
-				Backlog:  nodes[i].BacklogAt(a.Time),
-				InSystem: nodes[i].JobsInSystem(),
-				Affinity: affinity(nodes[i], a.App.Name),
+				Backlog:  n.BacklogAt(a.Time),
+				InSystem: n.JobsInSystem(),
+				Affinity: affinity(n, a.App.Name),
 			}
-			return nil
-		}); err != nil {
-			return nil, err
 		}
 		pick := router.Pick(states, a)
 		if pick < 0 || pick >= len(nodes) {
@@ -262,15 +255,12 @@ func SimulateContext(ctx context.Context, sc Scenario) (*Result, error) {
 
 	// Drain every node and collect the per-node outcomes.
 	res.Nodes = make([]NodeResult, len(nodes))
-	if err := eachNode(nodes, sc.Workers, func(i int) error {
-		nr, err := nodes[i].Finish(ctx)
+	for i, n := range nodes {
+		nr, err := n.Finish(ctx)
 		if err != nil {
-			return fmt.Errorf("fleet: node %s: %w", names[i], err)
+			return nil, fmt.Errorf("fleet: node %s: %w", names[i], err)
 		}
 		res.Nodes[i] = NodeResult{Name: names[i], Jobs: len(nr.Jobs), Result: nr}
-		return nil
-	}); err != nil {
-		return nil, err
 	}
 	aggregate(res)
 	return res, nil
@@ -315,35 +305,4 @@ func aggregate(res *Result) {
 	res.Wait, _ = stats.Summarize(waits)
 	res.Response, _ = stats.Summarize(resps)
 	res.Stretch, _ = stats.Summarize(stretches)
-}
-
-// eachNode runs fn(i) for every node — serially at workers ≤ 1 or for
-// a single node, concurrently otherwise. fn touches only node i's
-// state, so the schedule cannot affect results; the first error in
-// index order wins, matching the serial path.
-func eachNode(nodes []*des.Node, workers int, fn func(i int) error) error {
-	if workers == 1 || len(nodes) == 1 {
-		for i := range nodes {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, len(nodes))
-	for i := range nodes {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = fn(i)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -10,28 +10,27 @@ import (
 )
 
 // TestCacheHitAllocFree pins the memoization fast path at zero
-// allocations: the scenario key is encoded into a pooled buffer and
-// probed with a map lookup the compiler keeps allocation-free, so
-// re-serving a solved (scenario, heuristic) pair costs no garbage.
+// allocations, in both cache settings: the scenario key is encoded into
+// a pooled buffer and probed with a map lookup the compiler keeps
+// allocation-free, so re-serving a solved (scenario, heuristic) pair
+// costs no garbage.
 func TestCacheHitAllocFree(t *testing.T) {
 	pl := model.TaihuLight()
 	apps := workload.NPB()
-	cache := NewCache()
-	compute := func() (*sched.Schedule, error) {
-		return sched.DominantMinRatio.Schedule(pl, apps, nil)
-	}
 	ctx := context.Background()
-	if _, err, _ := cache.getOrCompute(ctx, pl, apps, sched.DominantMinRatio, 0, compute); err != nil {
-		t.Fatal(err)
-	}
-	n := testing.AllocsPerRun(200, func() {
-		s, err, fromCache := cache.getOrCompute(ctx, pl, apps, sched.DominantMinRatio, 0, compute)
-		if err != nil || s == nil || !fromCache {
-			t.Fatal("expected a cache hit")
+	for _, cache := range []*Cache{NewCache(), NewReplanCache()} {
+		if _, _, err := cache.Schedule(ctx, pl, apps, sched.DominantMinRatio, 0); err != nil {
+			t.Fatal(err)
 		}
-	})
-	if n != 0 {
-		t.Errorf("memoized hit allocates %g times, want 0", n)
+		n := testing.AllocsPerRun(200, func() {
+			s, fromCache, err := cache.Schedule(ctx, pl, apps, sched.DominantMinRatio, 0)
+			if err != nil || s == nil || !fromCache {
+				t.Fatal("expected a cache hit")
+			}
+		})
+		if n != 0 {
+			t.Errorf("memoized hit allocates %g times, want 0", n)
+		}
 	}
 }
 

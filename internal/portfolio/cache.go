@@ -11,37 +11,84 @@ import (
 	"repro/internal/sched"
 )
 
-// numShards stripes the cache's mutexes. 64 shards keep contention
-// negligible at any realistic worker count while costing a few KB.
-const numShards = 64
-
 // Cache memoizes solved (scenario, heuristic) pairs behind a sharded,
-// mutex-striped map. Entries are keyed by a canonical byte encoding of
-// (platform, applications, heuristic, seed) — seed is omitted for
-// deterministic heuristics, so e.g. DominantMinRatio on the same
-// workload hits regardless of the scenario seed. Concurrent requests
-// for the same key collapse into a single computation via a per-entry
-// sync.Once. A Cache must not be copied after first use.
+// mutex-striped map. It is the repository's only plan memo: the
+// serving engine and every online simulation use it, in one of two
+// settings (NewCache and NewReplanCache).
+//
+// Entries are keyed by a canonical byte encoding of (platform,
+// applications, heuristic, seed). Every numeric field the heuristics
+// read contributes its exact bit pattern, so a key match certifies
+// that the stored plan is bit-identical to a cold solve: every
+// heuristic is a pure function of those inputs and its RNG stream.
+// Application names are not part of the key — no heuristic reads them,
+// and online callers re-stamp them per job ("cg#17"), which would
+// otherwise defeat the memo on recurring workload shapes. The seed is
+// omitted for deterministic heuristics, so e.g. DominantMinRatio on the
+// same workload hits regardless of the scenario seed.
+//
+// Concurrent requests for the same key collapse into a single
+// computation via a per-entry sync.Once. Each shard holds a bounded
+// number of entries and evicts the oldest first, so a cache's content —
+// and its hit/miss sequence — is a deterministic function of its
+// insertion sequence. A Cache must not be copied after first use.
 type Cache struct {
-	shards       [numShards]cacheShard
+	shards []cacheShard
+	// perShard bounds each shard's entries (FIFO eviction).
+	perShard int
+	// randomized memoizes randomized heuristics under their seed; when
+	// false they bypass the cache (their online seeds never recur).
+	randomized   bool
 	hits, misses atomic.Uint64
 	evictions    atomic.Uint64
 }
 
 type cacheShard struct {
-	mu sync.Mutex
-	m  map[string]*cacheEntry
+	mu    sync.Mutex
+	m     map[string]*cacheEntry
+	order []string // keys in insertion order, oldest at head
+	head  int
+	spare []cacheEntry // preallocated entries, handed out in order
 }
 
 type cacheEntry struct {
+	key      string // the map key, shared with the map (no extra copy)
+	sh       *cacheShard
 	once     sync.Once
+	done     atomic.Bool // set once schedule/err are final
 	schedule *sched.Schedule
 	err      error
 }
 
-// NewCache returns an empty cache ready for concurrent use.
-func NewCache() *Cache {
-	c := &Cache{}
+// Serving setting: 64 shards keep lock contention negligible at any
+// realistic worker count, and 256 entries per shard (16,384 in all,
+// ≈20 MB at ~1.2 KB per entry) hold a 512-body warm working set of 12
+// heuristics each (6,144 entries) with room to spare.
+const (
+	numShards     = 64
+	shardCapacity = 256
+)
+
+// replanCapacity bounds a NewReplanCache: comfortably more than the
+// distinct resident-set shapes a cyclic template workload produces
+// (ramp-up prefixes, template rotations, drain suffixes), small enough
+// that a non-recurring stream caps out at a few hundred retained plans.
+const replanCapacity = 256
+
+// NewCache returns the serving engine's cache: every heuristic is
+// memoized, randomized ones under their seed, across 64 shards of at
+// most 256 entries each. Safe for concurrent use.
+func NewCache() *Cache { return newCache(numShards, shardCapacity, true) }
+
+// NewReplanCache returns the plan cache an online simulation owns: only
+// deterministic heuristics are memoized (a randomized heuristic's
+// per-event seed never recurs, so storing its plans would only churn
+// the memo), in a single FIFO of 256 entries. Safe for
+// concurrent use, so a simulation's races may run on a shared pool.
+func NewReplanCache() *Cache { return newCache(1, replanCapacity, false) }
+
+func newCache(shards, perShard int, randomized bool) *Cache {
+	c := &Cache{shards: make([]cacheShard, shards), perShard: perShard, randomized: randomized}
 	for i := range c.shards {
 		c.shards[i].m = make(map[string]*cacheEntry)
 	}
@@ -50,18 +97,18 @@ func NewCache() *Cache {
 
 // CacheStats are the cache's monotonic counters. A "hit" is a request
 // that found its entry already computed (or in flight); a "miss" is a
-// request that triggered the computation.
+// request that triggered the computation. Heuristics the cache does not
+// memoize count as neither.
 type CacheStats struct {
 	Hits   uint64
 	Misses uint64
-	// Evictions counts entries dropped because their computation was
-	// abandoned by context cancellation.
+	// Evictions counts entries dropped by the per-shard FIFO bound or
+	// because their computation was abandoned by context cancellation.
 	Evictions uint64
 	Entries   int
 }
 
-// Stats snapshots the counters. Hits+Misses equals the number of
-// getOrCompute calls that completed.
+// Stats snapshots the counters.
 func (c *Cache) Stats() CacheStats {
 	s := CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load(), Evictions: c.evictions.Load()}
 	for i := range c.shards {
@@ -73,65 +120,132 @@ func (c *Cache) Stats() CacheStats {
 	return s
 }
 
+// memoizes reports whether h's plans go through the cache.
+func (c *Cache) memoizes(h sched.Heuristic) bool {
+	return c.randomized || !h.Randomized()
+}
+
+// Schedule solves h on (pl, apps) through the cache, drawing a
+// randomized heuristic's stream from seed; fromCache reports a
+// memoized answer. A nil cache, or a heuristic it does not memoize,
+// solves directly. Failures are wrapped in *sched.HeuristicError
+// (context errors stay bare). Returned schedules may be shared: treat
+// them as immutable.
+func (c *Cache) Schedule(ctx context.Context, pl model.Platform, apps []model.Application, h sched.Heuristic, seed uint64) (s *sched.Schedule, fromCache bool, err error) {
+	if c == nil || !c.memoizes(h) {
+		s, err = runHeuristic(ctx, pl, apps, h, seed)
+		return s, false, err
+	}
+	return c.await(ctx, c.entry(pl, apps, h, seed), pl, apps, h, seed)
+}
+
+// runHeuristic is one cold heuristic run. Only randomized heuristics get an
+// RNG: the deterministic ones never read it, and skipping the
+// construction keeps the hot path lean without changing any schedule.
+func runHeuristic(ctx context.Context, pl model.Platform, apps []model.Application, h sched.Heuristic, seed uint64) (*sched.Schedule, error) {
+	s, err := h.ScheduleContext(ctx, pl, apps, rngFor(h, seed))
+	return s, heuristicErr(h, err)
+}
+
 // keyBufPool recycles the byte buffers scenario keys are encoded into.
-// On the hit path the buffer is only used for the map probe (the
+// On the lookup path the buffer is only used for the map probe (the
 // compiler elides the string conversion in m[string(b)]), so memoized
 // lookups allocate nothing; the key is materialized as a string only
 // when a new entry is inserted.
 var keyBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// getOrCompute returns the memoized outcome for the pair, computing it
-// at most once across all concurrent callers. fromCache reports whether
-// this caller got a previously requested entry.
+// entry returns the entry for the pair, inserting an empty one (and
+// evicting the shard's oldest beyond its bound) on first request.
+func (c *Cache) entry(pl model.Platform, apps []model.Application, h sched.Heuristic, seed uint64) *cacheEntry {
+	bp := keyBufPool.Get().(*[]byte)
+	key := appendScenarioKey((*bp)[:0], pl, apps, h, seed)
+	sh := &c.shards[shardOf(key, len(c.shards))]
+	sh.mu.Lock()
+	ent, ok := sh.m[string(key)]
+	if !ok {
+		// Entries are carved from chunks, so a miss costs one allocation
+		// (its key) instead of two. Chunks fill in FIFO order, so one
+		// dies soon after its last entry is evicted.
+		if len(sh.spare) == 0 {
+			sh.spare = make([]cacheEntry, 16)
+		}
+		ent = &sh.spare[0]
+		sh.spare = sh.spare[1:]
+		ent.key, ent.sh = string(key), sh
+		c.insert(sh, ent)
+	}
+	sh.mu.Unlock()
+	*bp = key[:0]
+	keyBufPool.Put(bp)
+	return ent
+}
+
+// insert adds ent to its shard, first evicting the oldest keys until
+// the shard is below its bound. The caller holds sh.mu.
+func (c *Cache) insert(sh *cacheShard, ent *cacheEntry) {
+	for len(sh.m) >= c.perShard {
+		delete(sh.m, sh.order[sh.head])
+		sh.order[sh.head] = ""
+		sh.head++
+		c.evictions.Add(1)
+	}
+	// Compact once the dead prefix dominates, keeping amortized
+	// insertion O(1) without unbounded slice growth.
+	if sh.head > len(sh.order)/2 {
+		sh.order = append(sh.order[:0], sh.order[sh.head:]...)
+		sh.head = 0
+	}
+	sh.m[ent.key] = ent
+	sh.order = append(sh.order, ent.key)
+}
+
+// ready reports whether ent holds a final, servable outcome — what a
+// lookup may serve without a worker slot.
+func (ent *cacheEntry) ready() bool {
+	return ent.done.Load() && !isContextErr(ent.err)
+}
+
+// await returns ent's outcome, computing it at most once across all
+// concurrent callers. fromCache reports whether this caller got a
+// previously requested entry.
 //
 // Cancellation safety: a computation abandoned because its context was
 // cancelled must not stick — otherwise one cancelled request would
 // serve ctx.Err() to every future caller of the same scenario. When the
-// computed outcome is a context error the entry is evicted; a waiter
+// computed outcome is a context error the entry is reset; a waiter
 // that collapsed onto a cancelled computation retries with its own
 // (still live) context instead of inheriting a stranger's cancellation.
-func (c *Cache) getOrCompute(ctx context.Context, pl model.Platform, apps []model.Application, h sched.Heuristic, seed uint64,
-	compute func() (*sched.Schedule, error)) (s *sched.Schedule, err error, fromCache bool) {
-	bp := keyBufPool.Get().(*[]byte)
-	key := appendScenarioKey((*bp)[:0], pl, apps, h, seed)
-	sh := &c.shards[shardOf(key)]
+func (c *Cache) await(ctx context.Context, ent *cacheEntry, pl model.Platform, apps []model.Application, h sched.Heuristic, seed uint64) (s *sched.Schedule, fromCache bool, err error) {
 	for {
-		sh.mu.Lock()
-		ent, ok := sh.m[string(key)]
-		if !ok {
-			ent = &cacheEntry{}
-			sh.m[string(key)] = ent
-		}
-		sh.mu.Unlock()
-
 		computed := false
 		ent.once.Do(func() {
-			ent.schedule, ent.err = compute()
+			ent.schedule, ent.err = runHeuristic(ctx, pl, apps, h, seed)
+			ent.done.Store(true)
 			computed = true
 		})
-		if ent.err != nil && isContextErr(ent.err) {
-			// Evict the abandoned entry (only if the map still holds this
-			// exact one — a concurrent retry may already have replaced it).
+		if isContextErr(ent.err) {
+			// Replace the abandoned entry with an empty one in the same
+			// FIFO slot (unless a concurrent retry already did).
+			sh := ent.sh
 			sh.mu.Lock()
-			if cur, ok := sh.m[string(key)]; ok && cur == ent {
-				delete(sh.m, string(key))
+			if sh.m[ent.key] == ent {
+				sh.m[ent.key] = &cacheEntry{key: ent.key, sh: sh}
 				c.evictions.Add(1)
 			}
 			sh.mu.Unlock()
 			if !computed && ctx.Err() == nil {
 				// We collapsed onto someone else's cancelled computation
 				// but our own context is live: compute it for real.
+				ent = c.entry(pl, apps, h, seed)
 				continue
 			}
 		}
-		*bp = key[:0]
-		keyBufPool.Put(bp)
 		if computed {
 			c.misses.Add(1)
 		} else {
 			c.hits.Add(1)
 		}
-		return ent.schedule, ent.err, !computed
+		return ent.schedule, !computed, ent.err
 	}
 }
 
@@ -142,17 +256,13 @@ func scenarioKey(pl model.Platform, apps []model.Application, h sched.Heuristic,
 }
 
 // appendScenarioKey appends the canonical byte encoding of one
-// (platform, applications, heuristic, seed) cell to b. Every numeric
-// field contributes its exact bit pattern, and names are
-// length-prefixed, so distinct scenarios cannot collide. The seed
-// participates only for heuristics that actually consume randomness.
+// (platform, applications, heuristic, seed) cell to b: whole 64-bit
+// words, every numeric field as its exact bit pattern, so distinct
+// inputs cannot collide. The seed participates only for heuristics that
+// actually consume randomness; names never do.
 func appendScenarioKey(b []byte, pl model.Platform, apps []model.Application, h sched.Heuristic, seed uint64) []byte {
 	if b == nil {
-		n := 8 + 5*8 + 8 + 8 // heuristic + platform + seed + app count
-		for _, a := range apps {
-			n += 8 + len(a.Name) + 6*8
-		}
-		b = make([]byte, 0, n)
+		b = make([]byte, 0, 8*(8+6*len(apps))) // heuristic + seed + platform + count + apps
 	}
 	b = appendU64(b, uint64(h))
 	if !h.Randomized() {
@@ -162,8 +272,6 @@ func appendScenarioKey(b []byte, pl model.Platform, apps []model.Application, h 
 	b = appendF64(b, pl.Processors, pl.CacheSize, pl.LatencyS, pl.LatencyL, pl.Alpha)
 	b = appendU64(b, uint64(len(apps)))
 	for _, a := range apps {
-		b = appendU64(b, uint64(len(a.Name)))
-		b = append(b, a.Name...)
 		b = appendF64(b, a.Work, a.SeqFraction, a.AccessFreq, a.Footprint, a.RefMissRate, a.RefCacheSize)
 	}
 	return b
@@ -180,16 +288,26 @@ func appendF64(b []byte, vs ...float64) []byte {
 	return b
 }
 
-// shardOf hashes the key with FNV-1a and folds it onto a shard index.
-func shardOf(key []byte) int {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime64
+// shardOf folds the key onto one of n shards with a word-wise
+// multiply-xorshift hash and a SplitMix64 finalizer. Keys are whole
+// 64-bit words (see appendScenarioKey), read eight bytes at a time;
+// unlike
+// hash/maphash it is unseeded, so a key lands on the same shard in
+// every process (and the FIFO eviction order is reproducible).
+func shardOf(key []byte, n int) int {
+	if n == 1 {
+		return 0
 	}
-	return int(h % numShards)
+	h := uint64(len(key))
+	for ; len(key) >= 8; key = key[8:] {
+		h ^= binary.LittleEndian.Uint64(key)
+		h *= 0x9E3779B97F4A7C15
+		h ^= h >> 32
+	}
+	h ^= h >> 30
+	h *= 0xBF58476D1CE4E5B9
+	h ^= h >> 27
+	h *= 0x94D049BB133111EB
+	h ^= h >> 31
+	return int(h % uint64(n))
 }

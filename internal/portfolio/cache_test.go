@@ -1,6 +1,7 @@
 package portfolio
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"testing"
@@ -116,8 +117,8 @@ func TestCacheSharedBetweenEngines(t *testing.T) {
 	}
 }
 
-// TestCacheShardSpread sanity-checks the FNV shard fold: distinct keys
-// must not all collapse onto one shard.
+// TestCacheShardSpread sanity-checks the word-wise shard hash: distinct
+// keys must not all collapse onto one shard.
 func TestCacheShardSpread(t *testing.T) {
 	apps := workload.NPB()
 	pl := model.TaihuLight()
@@ -125,9 +126,61 @@ func TestCacheShardSpread(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		p := pl
 		p.Processors = float64(i + 1)
-		shards[shardOf(appendScenarioKey(nil, p, apps, sched.Fair, 0))] = true
+		shards[shardOf(appendScenarioKey(nil, p, apps, sched.Fair, 0), numShards)] = true
 	}
 	if len(shards) < 8 {
 		t.Fatalf("64 distinct keys landed on only %d shards", len(shards))
+	}
+}
+
+// TestCacheFIFOEviction: a cache caps its retained plans and evicts the
+// oldest first, so its content is a deterministic function of the
+// insertion sequence.
+func TestCacheFIFOEviction(t *testing.T) {
+	pl := model.TaihuLight()
+	c := NewReplanCache()
+	mk := func(w int) []model.Application {
+		a := workload.NPB()[:1]
+		a[0].Work = float64(w)
+		return a
+	}
+	const n = replanCapacity + 2
+	ctx := context.Background()
+	for w := 1; w <= n; w++ {
+		if _, fromCache, err := c.Schedule(ctx, pl, mk(w), sched.Fair, 0); err != nil || fromCache {
+			t.Fatalf("work %d: fromCache=%v err=%v on first solve", w, fromCache, err)
+		}
+	}
+	if st := c.Stats(); st.Entries != replanCapacity || st.Evictions != 2 {
+		t.Fatalf("stats %+v, want %d entries and 2 evictions", st, replanCapacity)
+	}
+	// Oldest two evicted, everything newer retained.
+	for w := 1; w <= n; w++ {
+		_, ok := c.shards[0].m[scenarioKey(pl, mk(w), sched.Fair, 0)]
+		if want := w > 2; ok != want {
+			t.Errorf("work %d: retained=%v, want %v", w, ok, want)
+		}
+	}
+}
+
+// TestCacheHoldsWarmWorkingSet: the serving cache's bound sits well
+// above a 512-body pool raced by all 12 heuristics (6,144 entries, the
+// benchmark's warm working set): none of it is evicted, on any shard.
+func TestCacheHoldsWarmWorkingSet(t *testing.T) {
+	c := NewCache()
+	pl := model.TaihuLight()
+	const bodies = 512
+	for b := 0; b < bodies; b++ {
+		apps, err := workload.Generate(workload.Config{Generator: workload.GenNPBSynth, N: 2 + b%7}, solve.NewRNG(uint64(b)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for hi, h := range sched.ExtendedHeuristics {
+			c.entry(pl, apps, h, HeuristicSeed(uint64(b), hi))
+		}
+	}
+	want := bodies * len(sched.ExtendedHeuristics)
+	if st := c.Stats(); st.Entries != want || st.Evictions != 0 {
+		t.Fatalf("stats %+v, want %d entries and no evictions", st, want)
 	}
 }

@@ -1,6 +1,8 @@
 package portfolio
 
 import (
+	"time"
+
 	"repro/internal/obs"
 )
 
@@ -21,7 +23,7 @@ import (
 //	portfolio_wins_total{heuristic} counter   per-heuristic race wins
 //	portfolio_cache_hits_total     counter    memo cache hits (when caching)
 //	portfolio_cache_misses_total   counter    memo cache misses
-//	portfolio_cache_evictions_total counter   cancellation-evicted entries
+//	portfolio_cache_evictions_total counter   FIFO-bound and cancellation evictions
 //	portfolio_cache_entries        gauge      live memo entries
 type Metrics struct {
 	batches     *obs.Counter
@@ -67,8 +69,32 @@ func (m *Metrics) bindCache(c *Cache) {
 		func() float64 { return float64(c.hits.Load()) })
 	m.reg.CounterFunc("portfolio_cache_misses_total", "Memo cache misses",
 		func() float64 { return float64(c.misses.Load()) })
-	m.reg.CounterFunc("portfolio_cache_evictions_total", "Cancellation-evicted memo entries",
+	m.reg.CounterFunc("portfolio_cache_evictions_total", "Memo entries evicted by the FIFO bound or cancellation",
 		func() float64 { return float64(c.evictions.Load()) })
 	m.reg.GaugeFunc("portfolio_cache_entries", "Live memo entries",
 		func() float64 { return float64(c.Stats().Entries) })
+}
+
+// raceStart counts an admitted race of n scenarios and returns its
+// start time (zero, without a clock read, when metrics are off).
+func (m *Metrics) raceStart(n int) time.Time {
+	if m == nil {
+		return time.Time{}
+	}
+	m.batches.Inc()
+	m.scenarios.Add(uint64(n))
+	return time.Now()
+}
+
+// raceEnd records the finished race's winners and wall time.
+func (m *Metrics) raceEnd(start time.Time, reports ...*Report) {
+	if m == nil {
+		return
+	}
+	for _, rep := range reports {
+		if br := rep.BestResult(); br != nil {
+			m.wins.With(br.Heuristic.String()).Inc()
+		}
+	}
+	m.raceSeconds.Observe(time.Since(start).Seconds())
 }

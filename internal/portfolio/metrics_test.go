@@ -137,15 +137,12 @@ func TestDisabledMetricsZeroAlloc(t *testing.T) {
 	eng := New(Config{Workers: 1, Cache: cache})
 	pl := model.TaihuLight()
 	apps := workload.NPB()
-	compute := func() (*sched.Schedule, error) {
-		return sched.DominantMinRatio.Schedule(pl, apps, nil)
-	}
 	ctx := context.Background()
-	if _, err, _ := cache.getOrCompute(ctx, pl, apps, sched.DominantMinRatio, 0, compute); err != nil {
+	if _, _, err := cache.Schedule(ctx, pl, apps, sched.DominantMinRatio, 0); err != nil {
 		t.Fatal(err)
 	}
 	n := testing.AllocsPerRun(200, func() {
-		s, err, fromCache := cache.getOrCompute(ctx, pl, apps, sched.DominantMinRatio, 0, compute)
+		s, fromCache, err := cache.Schedule(ctx, pl, apps, sched.DominantMinRatio, 0)
 		if err != nil || s == nil || !fromCache {
 			t.Fatal("expected a cache hit")
 		}

@@ -151,6 +151,16 @@ func (r *Report) BestSchedule() *sched.Schedule {
 	return nil
 }
 
+// WithCache returns a view of e that races on e's worker pool and
+// reports to e's metrics but memoizes into c (nil: no memoization). An
+// online simulation uses it to keep its own plan cache while sharing
+// the caller's workers.
+func (e *Engine) WithCache(c *Cache) *Engine {
+	v := *e
+	v.cache = c
+	return &v
+}
+
 // Evaluate runs every heuristic of the scenario on the worker pool and
 // reports all outcomes. The returned error is non-nil only for invalid
 // scenarios; per-heuristic failures land in the Report.
@@ -163,20 +173,36 @@ func (e *Engine) Evaluate(s Scenario) (*Report, error) {
 // error and on every unevaluated Result. See EvaluateBatchContext for
 // the cancellation contract.
 func (e *Engine) EvaluateContext(ctx context.Context, s Scenario) (*Report, error) {
-	reports, err := e.EvaluateBatchContext(ctx, []Scenario{s})
-	rep := reports[0]
-	if err == nil {
-		err = rep.Err
-	}
+	rep := &Report{}
+	err := e.EvaluateInto(ctx, &s, rep)
 	return rep, err
+}
+
+// EvaluateInto is EvaluateContext writing into a caller-owned report:
+// rep.Results is resized in place, reusing its capacity, so a caller
+// racing scenario after scenario (the online policies, once per event)
+// allocates no report structures.
+func (e *Engine) EvaluateInto(ctx context.Context, sc *Scenario, rep *Report) error {
+	start := e.metrics.raceStart(1)
+	slab := taskSlabPool.Get().(*taskSlab)
+	slab.tasks = rep.prepare(0, sc, slab.tasks)
+	e.race(ctx, slab.tasks)
+	slab.release()
+	rep.pickBest()
+	e.metrics.raceEnd(start, rep)
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return rep.Err
 }
 
 // task is one (scenario, heuristic) evaluation cell.
 type task struct {
 	sc  *Scenario
-	rep *Report
+	res *Result
 	hi  int
 	h   sched.Heuristic
+	ent *cacheEntry // the cell's cache entry; nil when not memoized
 }
 
 // taskSlab recycles the task list of EvaluateBatch calls. Entries are
@@ -185,6 +211,29 @@ type task struct {
 type taskSlab struct{ tasks []task }
 
 var taskSlabPool = sync.Pool{New: func() any { return new(taskSlab) }}
+
+func (s *taskSlab) release() {
+	clear(s.tasks)
+	s.tasks = s.tasks[:0]
+	taskSlabPool.Put(s)
+}
+
+// prepare resets the report for scenario si and appends one task per
+// heuristic; an invalid scenario records its error and adds none.
+func (r *Report) prepare(si int, sc *Scenario, tasks []task) []task {
+	r.Best, r.Err = -1, nil
+	r.Results = r.Results[:0]
+	if err := model.ValidateAll(sc.Platform, sc.Apps); err != nil {
+		r.Err = fmt.Errorf("portfolio: scenario %d: %w", si, err)
+		return tasks
+	}
+	hs := sc.heuristics()
+	r.Results = append(r.Results, make([]Result, len(hs))...)
+	for hi := range hs {
+		tasks = append(tasks, task{sc: sc, res: &r.Results[hi], hi: hi, h: hs[hi]})
+	}
+	return tasks
+}
 
 // EvaluateBatch evaluates many scenarios at once, fanning every
 // (scenario, heuristic) pair out to the shared worker pool. The
@@ -197,8 +246,9 @@ func (e *Engine) EvaluateBatch(scenarios []Scenario) []*Report {
 
 // EvaluateBatchContext is EvaluateBatch under a context.
 //
-// The call spawns at most Workers goroutines regardless of batch size
-// (a full paper sweep is tens of thousands of tasks), and each task
+// Memo hits are served inline; every other cell goes to the pool. The
+// call spawns at most Workers-1 goroutines regardless of batch size (a
+// full paper sweep is tens of thousands of tasks), and each task
 // additionally holds a slot of the engine-wide semaphore, so concurrent
 // EvaluateBatch calls on one engine still respect the global bound.
 // Tasks are drained through an atomic cursor over a pooled slab —
@@ -213,161 +263,153 @@ func (e *Engine) EvaluateBatch(scenarios []Scenario) []*Report {
 // scratch is returned in a reusable state, and a subsequent call on a
 // live context is bit-identical to one on a fresh engine.
 func (e *Engine) EvaluateBatchContext(ctx context.Context, scenarios []Scenario) ([]*Report, error) {
-	m := e.metrics
-	var raceStart time.Time
-	if m != nil {
-		raceStart = time.Now()
-	}
+	start := e.metrics.raceStart(len(scenarios))
 	reports := make([]*Report, len(scenarios))
 	slab := taskSlabPool.Get().(*taskSlab)
-	tasks := slab.tasks[:0]
 	for si := range scenarios {
-		sc := &scenarios[si]
-		rep := &Report{Best: -1}
-		reports[si] = rep
-		if err := model.ValidateAll(sc.Platform, sc.Apps); err != nil {
-			rep.Err = fmt.Errorf("portfolio: scenario %d: %w", si, err)
-			continue
-		}
-		hs := sc.heuristics()
-		rep.Results = make([]Result, len(hs))
-		for hi := range hs {
-			tasks = append(tasks, task{sc, rep, hi, hs[hi]})
-		}
+		reports[si] = &Report{}
+		slab.tasks = reports[si].prepare(si, &scenarios[si], slab.tasks)
 	}
+	e.race(ctx, slab.tasks)
+	slab.release()
+	for _, rep := range reports {
+		rep.pickBest()
+	}
+	e.metrics.raceEnd(start, reports...)
+	return reports, ctx.Err()
+}
 
+// race resolves every task into its result cell: cached outcomes
+// inline, the rest on the worker pool.
+func (e *Engine) race(ctx context.Context, tasks []task) {
+	m := e.metrics
 	if m != nil {
-		m.batches.Inc()
-		m.scenarios.Add(uint64(len(scenarios)))
 		m.evals.Add(uint64(len(tasks)))
 		// Depth rises by the whole admission and falls once per resolved
-		// task (computed or cancellation-filled), so it always returns to
-		// its pre-call level.
+		// task (served, computed or cancellation-filled), so it always
+		// returns to its pre-call level.
 		m.queueDepth.Add(int64(len(tasks)))
 	}
-
-	workers := cap(e.sem)
-	if workers > len(tasks) {
-		workers = len(tasks)
+	if e.cache != nil && ctx.Err() == nil {
+		tasks = e.lookup(tasks)
 	}
-	done := ctx.Done()
-	if workers <= 1 {
-		// Serial fast path: no goroutines, no synchronization beyond the
-		// engine-wide semaphore.
-		for i := range tasks {
-			if ctx.Err() != nil {
-				break
-			}
-			t := &tasks[i]
-			select {
-			case e.sem <- struct{}{}:
-			case <-done:
-				continue // loop re-checks ctx and breaks
-			}
-			t.rep.Results[t.hi] = e.evalOne(ctx, t.sc, t.h, t.hi)
-			<-e.sem
-			if m != nil {
-				m.queueDepth.Dec()
-			}
-		}
-	} else {
-		var cursor atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					if ctx.Err() != nil {
-						return
-					}
-					i := int(cursor.Add(1)) - 1
-					if i >= len(tasks) {
-						return
-					}
-					t := &tasks[i]
-					select {
-					case e.sem <- struct{}{}:
-					case <-done:
-						return
-					}
-					t.rep.Results[t.hi] = e.evalOne(ctx, t.sc, t.h, t.hi)
-					<-e.sem
-					if m != nil {
-						m.queueDepth.Dec()
-					}
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	e.run(ctx, tasks)
 	// Tasks skipped by cancellation carry the context error so callers
 	// can tell "not computed" from "computed infeasible". This runs
 	// strictly after every worker exited, so the writes cannot race.
 	if err := ctx.Err(); err != nil {
 		for i := range tasks {
 			t := &tasks[i]
-			res := &t.rep.Results[t.hi]
-			if res.Schedule == nil && res.Err == nil {
-				res.Heuristic = t.h
-				res.Err = err
+			if t.res.Schedule == nil && t.res.Err == nil {
+				*t.res = Result{Heuristic: t.h, Err: err}
 				if m != nil {
 					m.queueDepth.Dec()
 				}
 			}
 		}
 	}
-	for i := range tasks {
-		tasks[i] = task{}
+}
+
+// run computes the tasks on the worker pool: the caller drains the
+// task list alongside at most Workers-1 helper goroutines.
+func (e *Engine) run(ctx context.Context, tasks []task) {
+	workers := min(cap(e.sem), len(tasks))
+	if workers <= 1 {
+		var next atomic.Int64
+		e.drain(ctx, tasks, &next)
+		return
 	}
-	slab.tasks = tasks[:0]
-	taskSlabPool.Put(slab)
-	for _, rep := range reports {
-		rep.pickBest()
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e.drain(ctx, tasks, &next)
+		}()
 	}
-	if m != nil {
-		for _, rep := range reports {
-			if br := rep.BestResult(); br != nil {
-				m.wins.With(br.Heuristic.String()).Inc()
+	e.drain(ctx, tasks, &next)
+	wg.Wait()
+}
+
+// drain claims tasks through the shared cursor until none are left or
+// ctx is cancelled, holding an engine-wide semaphore slot per task.
+func (e *Engine) drain(ctx context.Context, tasks []task, next *atomic.Int64) {
+	m := e.metrics
+	done := ctx.Done()
+	for ctx.Err() == nil {
+		i := int(next.Add(1)) - 1
+		if i >= len(tasks) {
+			return
+		}
+		t := &tasks[i]
+		select {
+		case e.sem <- struct{}{}:
+		case <-done:
+			return
+		}
+		*t.res = e.evalOne(ctx, t)
+		<-e.sem
+		if m != nil {
+			m.queueDepth.Dec()
+		}
+	}
+}
+
+// lookup binds every memoized task to its cache entry — serially, in
+// task order, so a cache's FIFO order never depends on worker
+// interleaving — and serves the entries already computed without
+// taking a worker slot. It returns the tasks left to run, compacted in
+// place.
+func (e *Engine) lookup(tasks []task) []task {
+	m := e.metrics
+	pending := tasks[:0]
+	for _, t := range tasks {
+		if e.cache.memoizes(t.h) {
+			var start time.Time
+			if m != nil {
+				start = time.Now()
+			}
+			t.ent = e.cache.entry(t.sc.Platform, t.sc.Apps, t.h, HeuristicSeed(t.sc.Seed, t.hi))
+			if t.ent.ready() {
+				e.cache.hits.Add(1)
+				*t.res = Result{Heuristic: t.h, Schedule: t.ent.schedule, Err: t.ent.err, FromCache: true}
+				if m != nil {
+					m.evalSeconds.Observe(time.Since(start).Seconds())
+					m.queueDepth.Dec()
+				}
+				continue
 			}
 		}
-		m.raceSeconds.Observe(time.Since(raceStart).Seconds())
+		pending = append(pending, t)
 	}
-	return reports, ctx.Err()
+	return pending
 }
 
 // evalOne times one heuristic evaluation into the eval-latency
 // histogram when metrics are on; the wall-clock read happens only on
 // the enabled path, so a metrics-off run never touches the clock.
-func (e *Engine) evalOne(ctx context.Context, sc *Scenario, h sched.Heuristic, hi int) Result {
+func (e *Engine) evalOne(ctx context.Context, t *task) Result {
 	m := e.metrics
 	if m == nil {
-		return e.solveOne(ctx, sc, h, hi)
+		return e.solveOne(ctx, t)
 	}
 	start := time.Now()
-	res := e.solveOne(ctx, sc, h, hi)
+	res := e.solveOne(ctx, t)
 	m.evalSeconds.Observe(time.Since(start).Seconds())
 	return res
 }
 
-// solveOne schedules one heuristic, through the cache when present.
-// Only randomized heuristics get an RNG: the deterministic ones never
-// read it, and skipping the construction keeps the hot path lean
-// without changing any schedule. Failures are wrapped in
-// *sched.HeuristicError naming the policy; context errors pass through
-// bare so errors.Is(err, context.Canceled) holds on every layer.
-func (e *Engine) solveOne(ctx context.Context, sc *Scenario, h sched.Heuristic, hi int) Result {
-	seed := HeuristicSeed(sc.Seed, hi)
-	if e.cache == nil {
-		s, err := h.ScheduleContext(ctx, sc.Platform, sc.Apps, rngFor(h, seed))
-		return Result{Heuristic: h, Schedule: s, Err: heuristicErr(h, err)}
+// solveOne schedules one task, through its cache entry when bound.
+func (e *Engine) solveOne(ctx context.Context, t *task) Result {
+	sc := t.sc
+	seed := HeuristicSeed(sc.Seed, t.hi)
+	if t.ent == nil {
+		s, err := runHeuristic(ctx, sc.Platform, sc.Apps, t.h, seed)
+		return Result{Heuristic: t.h, Schedule: s, Err: err}
 	}
-	s, err, fromCache := e.cache.getOrCompute(ctx, sc.Platform, sc.Apps, h, seed, func() (*sched.Schedule, error) {
-		// The RNG is built inside the computation so memoized hits do
-		// not pay for a stream they never draw from.
-		return h.ScheduleContext(ctx, sc.Platform, sc.Apps, rngFor(h, seed))
-	})
-	return Result{Heuristic: h, Schedule: s, Err: heuristicErr(h, err), FromCache: fromCache}
+	s, fromCache, err := e.cache.await(ctx, t.ent, sc.Platform, sc.Apps, t.h, seed)
+	return Result{Heuristic: t.h, Schedule: s, Err: err, FromCache: fromCache}
 }
 
 // heuristicErr wraps a per-heuristic failure in *sched.HeuristicError.
@@ -389,9 +431,9 @@ func isContextErr(err error) bool {
 // scenario seeded with scenarioSeed: the substream scenarioSeed ^
 // (hi+1)·seedStride. It is exported as the single source of truth for
 // that derivation — callers that re-solve individual heuristics outside
-// the engine (the DES delta-rescheduling fast path) must reproduce the
-// exact streams Evaluate would have drawn, or their results drift from
-// the full race bit-for-bit determinism forbids.
+// the engine must reproduce the exact streams Evaluate would have
+// drawn, or their results drift from the full race bit-for-bit
+// determinism forbids.
 func HeuristicSeed(scenarioSeed uint64, hi int) uint64 {
 	return scenarioSeed ^ uint64(hi+1)*seedStride
 }
@@ -406,27 +448,19 @@ func rngFor(h sched.Heuristic, seed uint64) *solve.RNG {
 	return solve.NewRNG(seed)
 }
 
-// BestIndex selects the feasible result with the smallest makespan,
-// breaking ties toward the earlier index, or -1 if none is feasible.
-// Results with a NaN makespan are treated as infeasible so they can
-// never shadow a finite schedule. Exported so callers that assemble
-// result slices outside Evaluate (the DES delta-rescheduling fast path)
-// share the engine's exact selection semantics, ties included.
-func BestIndex(results []Result) int {
-	best := -1
-	for i := range results {
-		res := &results[i]
+// pickBest records the feasible result with the smallest makespan,
+// breaking ties toward the earlier heuristic, or -1 if none is
+// feasible. Results with a NaN makespan are treated as infeasible so
+// they can never shadow a finite schedule.
+func (r *Report) pickBest() {
+	r.Best = -1
+	for i := range r.Results {
+		res := &r.Results[i]
 		if res.Err != nil || res.Schedule == nil || math.IsNaN(res.Schedule.Makespan) {
 			continue
 		}
-		if best < 0 || res.Schedule.Makespan < results[best].Schedule.Makespan {
-			best = i
+		if r.Best < 0 || res.Schedule.Makespan < r.Results[r.Best].Schedule.Makespan {
+			r.Best = i
 		}
 	}
-	return best
-}
-
-// pickBest records BestIndex over the report's results.
-func (r *Report) pickBest() {
-	r.Best = BestIndex(r.Results)
 }

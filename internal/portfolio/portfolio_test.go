@@ -2,6 +2,7 @@ package portfolio
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/model"
@@ -107,7 +108,10 @@ func TestConcurrentMatchesSerial(t *testing.T) {
 
 // TestEvaluateMatchesDirectSchedule pins the engine's RNG substream
 // rule: heuristic i must see exactly the stream seed^(i+1)·stride the
-// serial experiment loops always used.
+// serial experiment loops always used. It is also the cache's
+// certification property: a memo hit, in either cache setting, returns
+// exactly the schedule a cold solve produces — bit for bit — because
+// the key covers every numeric input of the (pure) heuristics.
 func TestEvaluateMatchesDirectSchedule(t *testing.T) {
 	pl := model.TaihuLight()
 	apps, err := workload.Generate(workload.Config{Generator: workload.GenNPBSynth, N: 12}, solve.NewRNG(99))
@@ -115,18 +119,29 @@ func TestEvaluateMatchesDirectSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	const seed = 0xABCDE
-	rep, err := New(Config{Workers: 4}).Evaluate(Scenario{Platform: pl, Apps: apps, Seed: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for hi, h := range sched.ExtendedHeuristics {
-		rng := solve.NewRNG(seed ^ uint64(hi+1)*seedStride)
-		want, err := h.Schedule(pl, apps, rng)
+	for _, cache := range []*Cache{nil, NewCache(), NewReplanCache()} {
+		eng := New(Config{Workers: 4, Cache: cache})
+		sc := Scenario{Platform: pl, Apps: apps, Seed: seed}
+		if _, err := eng.Evaluate(sc); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := eng.Evaluate(sc) // served from the cache where memoized
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := rep.Results[hi].Schedule.Makespan; got != want.Makespan {
-			t.Errorf("%v: portfolio makespan %v, direct %v", h, got, want.Makespan)
+		for hi, h := range sched.ExtendedHeuristics {
+			rng := solve.NewRNG(seed ^ uint64(hi+1)*seedStride)
+			want, err := h.Schedule(pl, apps, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := rep.Results[hi]
+			if memo := cache != nil && cache.memoizes(h); res.FromCache != memo {
+				t.Errorf("%v: fromCache = %v on the rerun, want %v", h, res.FromCache, memo)
+			}
+			if !reflect.DeepEqual(res.Schedule, want) {
+				t.Errorf("%v (fromCache=%v): portfolio schedule %+v, direct %+v", h, res.FromCache, res.Schedule, want)
+			}
 		}
 	}
 }
@@ -244,8 +259,10 @@ func TestCacheMemoization(t *testing.T) {
 	}
 }
 
-// TestScenarioKeyDistinguishes checks that every field of the scenario
-// reaches the canonical key.
+// TestScenarioKeyDistinguishes checks that every numeric field of the
+// scenario reaches the canonical key, bit-exactly, and that application
+// names do not: no heuristic reads them, so re-stamped job names must
+// share a key.
 func TestScenarioKeyDistinguishes(t *testing.T) {
 	pl := model.TaihuLight()
 	apps := workload.NPB()
@@ -265,8 +282,9 @@ func TestScenarioKeyDistinguishes(t *testing.T) {
 			return scenarioKey(pl, mod, sched.DominantMinRatio, 1)
 		},
 		func() string {
+			// One ulp: the certificate is exactness, not similarity.
 			mod := append([]model.Application{}, apps...)
-			mod[0].Name = "XX"
+			mod[3].Footprint = math.Nextafter(mod[3].Footprint, math.Inf(1))
 			return scenarioKey(pl, mod, sched.DominantMinRatio, 1)
 		},
 	}
@@ -274,6 +292,13 @@ func TestScenarioKeyDistinguishes(t *testing.T) {
 		if m() == base {
 			t.Errorf("mutation %d does not change the scenario key", i)
 		}
+	}
+	renamed := append([]model.Application{}, apps...)
+	for i := range renamed {
+		renamed[i].Name = "renamed#42"
+	}
+	if scenarioKey(pl, renamed, sched.DominantMinRatio, 1) != base {
+		t.Error("application names leaked into the scenario key")
 	}
 	// Seed must NOT differentiate deterministic heuristics, and must
 	// differentiate randomized ones.

@@ -136,7 +136,7 @@ type Outcome struct {
 
 // Race converts a finished race into its ledger records. The winner is
 // the minimum finite makespan, ties broken toward the earliest outcome
-// — the same rule the portfolio's BestIndex applies — so the records
+// — the same rule the portfolio engine's winner selection applies — so the records
 // agree with the report the caller already served. Outcomes that are
 // not OK, or whose margin would be non-finite, yield no record.
 func Race(bucket string, outs []Outcome) []RaceRecord {

@@ -164,6 +164,62 @@ func TestSimulateFleetEndpoint(t *testing.T) {
 	}
 }
 
+// TestSimulateResponsesDeterministic pins the per-simulation plan cache:
+// /v1/simulate and /v1/simulate-fleet answer byte-identically — replan
+// stanza included — on a fresh server and on one whose client cache was
+// pre-warmed by the same spec and by /v1/schedule traffic. Online
+// policies memoize into their own caches, so nothing a daemon served
+// before can change what a simulation reports.
+func TestSimulateResponsesDeterministic(t *testing.T) {
+	const spec = `{"arrivals": {"process": "poisson", "rate": 4e-7, "n": 48}, "policy": "portfolio", "maxResident": 4, "seed": 11}`
+	const fleetSpec = `{"nodes": [{"name": "a", "policy": "portfolio", "maxResident": 3}, {"name": "b", "policy": "DominantMinRatio", "maxResident": 3}],
+		"routing": "least-loaded", "arrivals": {"process": "poisson", "rate": 4e-7, "n": 48}, "seed": 11}`
+	fresh := func(path, body string) string {
+		_, ts := newTestServer(t, Config{})
+		resp, out := post(t, ts.URL+path, "", body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", path, resp.StatusCode, out)
+		}
+		return out
+	}
+	want := map[string]string{
+		"/v1/simulate":       fresh("/v1/simulate", spec),
+		"/v1/simulate-fleet": fresh("/v1/simulate-fleet", fleetSpec),
+	}
+	var sw SummaryWire
+	if err := json.Unmarshal([]byte(want["/v1/simulate"]), &sw); err != nil {
+		t.Fatal(err)
+	}
+	if sw.Replan.FastPath == 0 {
+		t.Fatalf("spec never replanned from the plan cache, so the check is vacuous: %+v", sw.Replan)
+	}
+
+	for path, body := range map[string]string{"/v1/simulate": spec, "/v1/simulate-fleet": fleetSpec} {
+		if got := fresh(path, body); got != want[path] {
+			t.Errorf("%s: two fresh servers disagree:\n%s\nvs\n%s", path, got, want[path])
+		}
+	}
+
+	// Pre-warm one server's client cache, then ask again.
+	_, ts := newTestServer(t, Config{})
+	for _, body := range []string{twoApps, randomPartBody(t)} {
+		if resp, out := post(t, ts.URL+"/v1/schedule", "acme", body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("warm-up schedule: status %d: %s", resp.StatusCode, out)
+		}
+	}
+	for round := 0; round < 2; round++ {
+		for path, body := range map[string]string{"/v1/simulate": spec, "/v1/simulate-fleet": fleetSpec} {
+			resp, got := post(t, ts.URL+path, "", body)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", path, resp.StatusCode, got)
+			}
+			if got != want[path] {
+				t.Errorf("%s round %d on a pre-warmed server:\n%s\nwant (fresh server)\n%s", path, round, got, want[path])
+			}
+		}
+	}
+}
+
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	cases := []struct {
